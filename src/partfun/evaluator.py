@@ -6,17 +6,24 @@ vertices (fixed spins, excluded from vertex weights), diagonal vertex
 weights, directed graphs, r-uniform hypergraphs with symmetric weight
 tensors, and edge models (weights on the multiset of incident edge colors).
 
-A configuration is a plain tuple of spins indexed by vertex.  Enumeration is
-odometer style, vertices ascending and spins ascending, so every run is
-deterministic; the enumeration budget caps the number of configurations
+A configuration is a plain tuple of spins indexed by vertex.  ``z_brute``,
+``count_configs`` and ``z_directed`` share one depth-first enumeration: the
+free vertices are set in ascending order, each edge's factor is multiplied
+in at the level of its endpoint set last, and a zero partial product skips
+the whole subtree below it.  The sums run over Python ints only: rational
+weights are scaled to integers first, and polynomial weights are evaluated
+at the integer points 0..D and interpolated back exactly.  The enumeration
+budget caps the number of configurations, m^free, before any work starts
 (default 10**8, overridable via the PARTFUN_BUDGET environment variable).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     ArityMismatch,
@@ -28,7 +35,7 @@ from .errors import (
     PinningConflict,
 )
 from .graph import DirectedGraph, Hypergraph, Multigraph, Pinning
-from .rings import INT, POLY, RAT, Polynomial, Ring
+from .rings import INT, Polynomial, Ring
 
 DEFAULT_BUDGET = 10**8
 
@@ -44,6 +51,21 @@ def current_budget() -> int:
     if value < 1:
         raise BadParameter("PARTFUN_BUDGET must be positive")
     return value
+
+
+def _check_budget(m: int, k: int, budget: int | None, what: str = "configurations"):
+    """Raise BudgetExceeded when m**k exceeds the budget (the call's own,
+    else current_budget()).  The running product stops as soon as it passes
+    the budget, so m**k is never built as a big integer."""
+    if budget is None:
+        budget = current_budget()
+    count = 1
+    for _ in range(k):
+        count *= m
+        if count > budget or m < 2:
+            break
+    if count > budget:
+        raise BudgetExceeded(f"{m}^{k} {what} exceed the budget {budget}")
 
 
 class WeightMatrix:
@@ -254,54 +276,27 @@ def z_brute(a: WeightMatrix, g: Multigraph, pin: Pinning | None = None,
     """
     a.require_symmetric()
     _check_dims(a, g, pin, weights)
-    if budget is None:
-        budget = current_budget()
-    m = a.n
     pinned = pin.assignments if pin is not None else {}
-    free = [v for v in range(g.n) if v not in pinned]
-    if m ** len(free) > budget:
-        raise BudgetExceeded(f"{m}^{len(free)} configurations exceed the budget {budget}")
-    rows = a.rows
-    edges = g.edges
+    free = g.n - len(pinned)
+    _check_budget(a.n, free, budget)
+    layout = _layout(g.n, g.edges, pinned)
+    # the result lies in the larger ring only once a vertex weight is
+    # multiplied into a configuration of nonzero edge product
+    promoted = weights is not None and free > 0 and not a.ring.contains(weights.ring)
+    ring = weights.ring if promoted else a.ring
     diag = weights.diag if weights is not None else None
-    sigma = [0] * g.n
-    for v, s in pinned.items():
-        sigma[v] = s
-    total = a.ring.zero
-    for assign in itertools.product(range(m), repeat=len(free)):
-        for v, s in zip(free, assign):
-            sigma[v] = s
-        w = a.ring.one
-        for u, v, mult in edges:
-            w = w * rows[sigma[u]][sigma[v]] ** mult
-            if not w:
-                break
-        else:
-            if diag is not None:
-                for v in free:
-                    w = w * diag[sigma[v]]
-            total = total + w
-    return total
+    z = _exact_z(layout, g.num_edges(), a.rows, diag, ring)
+    if promoted and not z:
+        support = [[int(bool(v)) for v in row] for row in a.rows]
+        if not _exact_z(layout, g.num_edges(), support, None, INT):
+            return a.ring.zero
+    return z
 
 
 def z_directed(a: WeightMatrix, g: DirectedGraph, budget: int | None = None):
     """Partition function of a directed graph; A need not be symmetric."""
-    if budget is None:
-        budget = current_budget()
-    m = a.n
-    if m**g.n > budget:
-        raise BudgetExceeded(f"{m}^{g.n} configurations exceed the budget {budget}")
-    rows = a.rows
-    total = a.ring.zero
-    for sigma in itertools.product(range(m), repeat=g.n):
-        w = a.ring.one
-        for u, v, mult in g.edges:
-            w = w * rows[sigma[u]][sigma[v]] ** mult
-            if not w:
-                break
-        else:
-            total = total + w
-    return total
+    _check_budget(a.n, g.n, budget)
+    return _exact_z(_layout(g.n, g.edges, {}), sum(m for _, _, m in g.edges), a.rows, None, a.ring)
 
 
 class SymmetricTensor:
@@ -338,10 +333,7 @@ def z_hypergraph(t: SymmetricTensor, h: Hypergraph, budget: int | None = None):
     """Partition function of an r-uniform hypergraph."""
     if t.arity != h.arity:
         raise ArityMismatch(f"tensor arity {t.arity} against hypergraph arity {h.arity}")
-    if budget is None:
-        budget = current_budget()
-    if t.n**h.n > budget:
-        raise BudgetExceeded(f"{t.n}^{h.n} configurations exceed the budget {budget}")
+    _check_budget(t.n, h.n, budget)
     total = t.ring.zero
     for sigma in itertools.product(range(t.n), repeat=h.n):
         w = t.ring.one
@@ -357,12 +349,9 @@ def z_hypergraph(t: SymmetricTensor, h: Hypergraph, budget: int | None = None):
 def z_edge_model(f: EdgeModel, g: Multigraph, budget: int | None = None):
     """Edge-model partition function: sum over edge colorings tau of the
     product over vertices of F(t(tau, v))."""
-    if budget is None:
-        budget = current_budget()
+    _check_budget(f.n, g.num_edges(), budget, "edge colorings")
     occurrences = list(g.edge_occurrences())
     e = len(occurrences)
-    if f.n**e > budget:
-        raise BudgetExceeded(f"{f.n}^{e} edge colorings exceed the budget {budget}")
     if g.n and max(g.degrees(), default=0) > f.max_degree:
         raise BadParameter("edge-model table does not cover the maximum degree")
     incident = [[] for _ in range(g.n)]
@@ -415,27 +404,264 @@ def count_configs(a: WeightMatrix, g: Multigraph, w, pin: Pinning | None = None,
     exactly w (vertex weights play no role here)."""
     a.require_symmetric()
     _check_dims(a, g, pin, None)
-    if budget is None:
-        budget = current_budget()
-    m = a.n
     pinned = pin.assignments if pin is not None else {}
-    free = [v for v in range(g.n) if v not in pinned]
-    if m ** len(free) > budget:
-        raise BudgetExceeded(f"{m}^{len(free)} configurations exceed the budget {budget}")
+    _check_budget(a.n, g.n - len(pinned), budget)
     w = a.ring.coerce(w)
-    rows = a.rows
-    sigma = [0] * g.n
-    for v, s in pinned.items():
-        sigma[v] = s
+    # products are compared, so they stay in the matrix ring: two different
+    # scalars can take the same value at an evaluation point
+    const, levels = _tables(_layout(g.n, g.edges, pinned), a.rows, None, a.ring.one)
+    return _enum_count(levels, a.n, const, w)
+
+
+# ---------------------------------------------------------------------------
+# the enumeration kernel of z_brute, count_configs and z_directed
+#
+# Free vertices are set one per level, in ascending order.  Each edge factor
+# is multiplied in at the level of its endpoint set last, so a partial
+# product is final for its prefix of spins, and a zero one rules out every
+# completion.  Every configuration is still covered: there is no
+# memoisation, and the cost stays m**free.
+
+
+def _layout(n, edges, pinned):
+    """Where each edge factor of the enumeration is multiplied in.
+
+    Returns (free, const, unary, pairs).  free lists the free vertices, level
+    i setting free[i].  const lists the (row, col, mult) factors of edges
+    between two pinned vertices.  unary[i] lists the factors of level i
+    alone as (row, col, mult), where None stands for the level's own spin.
+    pairs[i] maps an earlier level j to its (mult, flipped) factors: the
+    entry is A[s_j][s_i], or A[s_i][s_j] for an arc whose tail is set last.
+    """
+    free = [v for v in range(n) if v not in pinned]
+    level = {v: i for i, v in enumerate(free)}
+    const = []
+    unary = [[] for _ in free]
+    pairs = [{} for _ in free]
+    for u, v, mult in edges:
+        if not isinstance(mult, int):
+            raise BadParameter(f"edge multiplicity must be an integer, got {mult!r}")
+        lu, lv = level.get(u), level.get(v)
+        if lu is None and lv is None:
+            const.append((pinned[u], pinned[v], mult))
+        elif lu is None:
+            unary[lv].append((pinned[u], None, mult))
+        elif lv is None:
+            unary[lu].append((None, pinned[v], mult))
+        elif lu == lv:
+            unary[lu].append((None, None, mult))
+        elif lu < lv:
+            pairs[lv].setdefault(lu, []).append((mult, False))
+        else:
+            pairs[lu].setdefault(lv, []).append((mult, True))
+    return free, const, unary, pairs
+
+
+def _tables(layout, rows, diag, one):
+    """Fill a layout with matrix entries and optional vertex weights.
+
+    Returns (const, levels): const is the product of the pinned-pinned
+    factors, and levels[i] = (vec, nbrs).  vec[s] is the factor of level i
+    alone at spin s, None when there is none and nbrs is nonempty; nbrs
+    lists (j, table), table[s_j][s_i] being the factor shared with level j.
+    """
+    free, const_terms, unary, pairs = layout
+    m = len(rows)
+    powers = {}
+
+    def power(mult, flipped=False):
+        key = (mult, flipped)
+        if key not in powers:
+            if flipped:
+                powers[key] = [list(col) for col in zip(*power(mult))]
+            else:
+                powers[key] = rows if mult == 1 else [[v**mult for v in row] for row in rows]
+        return powers[key]
+
+    const = one
+    for r, c, mult in const_terms:
+        const = const * power(mult)[r][c]
+    levels = []
+    for i in range(len(free)):
+        vec = None
+        if unary[i] or diag is not None:
+            vec = list(diag) if diag is not None else [one] * m
+            for r, c, mult in unary[i]:
+                p = power(mult)
+                vec = [w * p[s if r is None else r][s if c is None else c] for s, w in enumerate(vec)]
+        nbrs = []
+        for j, terms in pairs[i].items():
+            table = None
+            for mult, flipped in terms:
+                p = power(mult, flipped)
+                table = p if table is None else [list(map(mul, x, y)) for x, y in zip(table, p)]
+            nbrs.append((j, table))
+        if vec is None and not nbrs:
+            vec = [one] * m
+        levels.append((vec, nbrs))
+    return const, levels
+
+
+def _level_factors(level, sigma):
+    """The factor of each spin at one level, given the spins above it."""
+    vec, nbrs = level
+    for j, table in nbrs:
+        row = table[sigma[j]]
+        vec = row if vec is None else list(map(mul, vec, row))
+    return vec
+
+
+def _enum_sum(levels, m):
+    """Sum over all spins of the levels of the product of their factors.
+
+    Depth first on an explicit stack, so deep graphs need no recursion:
+    part[i] sums the totals of level i's subtrees, each times its spin's
+    factor at level i (the distributive law along the tree).
+    """
+    k = len(levels)
+    sigma = [0] * k
+    if k <= 1:
+        return sum(_level_factors(levels[0], sigma)) if k else 1
+    last = k - 1
+    vecs = [None] * k
+    part = [0] * k
+    nxt = [0] * k
+    vecs[0] = _level_factors(levels[0], sigma)
+    i = 0
+    while True:
+        vec = vecs[i]
+        s = nxt[i]
+        while s < m and not vec[s]:
+            s += 1
+        if s == m:
+            if i == 0:
+                return part[0]
+            i -= 1
+            part[i] += vecs[i][sigma[i]] * part[i + 1]
+            continue
+        sigma[i] = s
+        nxt[i] = s + 1
+        if i + 1 == last:
+            part[i] += vec[s] * sum(_level_factors(levels[last], sigma))
+        else:
+            i += 1
+            vecs[i] = _level_factors(levels[i], sigma)
+            part[i] = 0
+            nxt[i] = 0
+
+
+def _enum_count(levels, m, start, target):
+    """Number of spin assignments of the levels for which start times the
+    product of the factors equals target.
+
+    A zero prefix product stays zero, so its m**remaining completions are
+    counted at once when target is zero, and skipped otherwise.
+    """
+    k = len(levels)
+    if k == 0:
+        return int(start == target)
+    sigma = [0] * k
+    last = k - 1
+    if k == 1:
+        return sum(start * w == target for w in _level_factors(levels[0], sigma))
+    zero_target = not target
+    prefix = [start] * k
+    vecs = [None] * k
+    nxt = [0] * k
+    vecs[0] = _level_factors(levels[0], sigma)
     count = 0
-    for assign in itertools.product(range(m), repeat=len(free)):
-        for v, s in zip(free, assign):
-            sigma[v] = s
-        acc = a.ring.one
-        for u, v, mult in g.edges:
-            acc = acc * rows[sigma[u]][sigma[v]] ** mult
-            if not acc:
-                break
-        if acc == w:
-            count += 1
-    return count
+    i = 0
+    while True:
+        s = nxt[i]
+        if s == m:
+            if i == 0:
+                return count
+            i -= 1
+            continue
+        nxt[i] = s + 1
+        q = prefix[i] * vecs[i][s]
+        if not q:
+            if zero_target:
+                count += m ** (last - i)
+            continue
+        sigma[i] = s
+        if i + 1 == last:
+            count += sum(q * w == target for w in _level_factors(levels[last], sigma))
+        else:
+            i += 1
+            prefix[i] = q
+            vecs[i] = _level_factors(levels[i], sigma)
+            nxt[i] = 0
+
+
+def _integer_form(values):
+    """(c, coefficient tuples of c * v) for scalars v, c being the least
+    common denominator of all their coefficients."""
+    coeffs = [v.coeffs if isinstance(v, Polynomial) else (v,) for v in values]
+    c = math.lcm(*(x.denominator for t in coeffs for x in t))
+    return c, [tuple(x.numerator * (c // x.denominator) for x in t) for t in coeffs]
+
+
+def _at(coeffs, x):
+    """Horner evaluation of integer coefficients (lowest first) at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _interpolate(values):
+    """Coefficients, lowest first, of the polynomial of degree below
+    len(values) that takes values[x] at x = 0, 1, ...
+
+    Newton divided differences; rings.vandermonde_solve solves a
+    different system (powers from 1, one unknown per node).
+    """
+    n = len(values)
+    dd = [Fraction(v) for v in values]
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / k
+    coeffs = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        # coeffs := coeffs * (X - k) + dd[k]
+        for i in range(n - 1, 0, -1):
+            coeffs[i] = coeffs[i - 1] - k * coeffs[i]
+        coeffs[0] = dd[k] - k * coeffs[0]
+    return coeffs
+
+
+def _exact_z(layout, num_edges, rows, diag, ring):
+    """Z of a layout filled with rows and diag, as a scalar of ring; the
+    enumeration itself runs on Python ints.
+
+    Scaling the entries by c scales Z by c**num_edges, and scaling the
+    vertex weights by d scales it by d**free.  Polynomial scalars are
+    evaluated at X = 0..D, where D bounds the degree of Z, and Z is
+    interpolated back from those values.
+    """
+    if ring.name == "int":
+        return _int_z(layout, rows, diag)
+    m = len(rows)
+    free = len(layout[0])
+    c, flat = _integer_form(v for row in rows for v in row)
+    int_rows = [flat[i * m:(i + 1) * m] for i in range(m)]
+    scale = c**num_edges
+    deg = max(max(len(t) for t in flat) - 1, 0) * num_edges
+    if diag is not None:
+        d, int_diag = _integer_form(diag)
+        scale *= d**free
+        deg += max(max(len(t) for t in int_diag) - 1, 0) * free
+    values = [
+        _int_z(layout, [[_at(t, x) for t in row] for row in int_rows],
+               None if diag is None else [_at(t, x) for t in int_diag])
+        for x in range(deg + 1)
+    ]
+    if ring.name == "poly":
+        return Polynomial(v / scale for v in _interpolate(values))
+    return Fraction(values[0], scale)
+
+
+def _int_z(layout, rows, diag):
+    const, levels = _tables(layout, rows, diag, 1)
+    return const * _enum_sum(levels, len(rows)) if const else 0

@@ -185,17 +185,12 @@ class Ring:
 
     def __init__(self, name):
         self.name = name
+        # scalars are immutable, so every caller may share these two
+        self.zero = {"int": 0, "rat": Fraction(0), "poly": Polynomial()}[name]
+        self.one = {"int": 1, "rat": Fraction(1), "poly": Polynomial((1,))}[name]
 
     def __repr__(self):
         return f"Ring({self.name})"
-
-    @property
-    def zero(self):
-        return {"int": 0, "rat": Fraction(0), "poly": Polynomial()}[self.name]
-
-    @property
-    def one(self):
-        return {"int": 1, "rat": Fraction(1), "poly": Polynomial((1,))}[self.name]
 
     def coerce(self, v):
         """Accept a scalar of this ring or anything that promotes into it."""

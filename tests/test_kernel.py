@@ -1,0 +1,222 @@
+"""The enumeration kernel of z_brute, count_configs and z_directed against
+per-configuration references built from config_weight and direct products.
+
+Instances are small and seeded: every ring, loops, multiplicities, pinnings
+(including all-pinned graphs and edges between pinned vertices), diagonal
+vertex weights and the empty graph.
+"""
+
+import itertools
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from partfun.errors import BadParameter, BudgetExceeded
+from partfun.evaluator import (
+    DiagonalWeights,
+    WeightMatrix,
+    config_weight,
+    count_configs,
+    perfect_matching_model,
+    z_brute,
+    z_directed,
+    z_edge_model,
+)
+from partfun.graph import DirectedGraph, Multigraph, Pinning
+from partfun.rings import INT, POLY, RAT, Polynomial
+
+RINGS = (INT, RAT, POLY)
+TYPES = {"int": int, "rat": Fraction, "poly": Polynomial}
+
+
+def _scalar(rng, ring):
+    if ring is INT:
+        return rng.choice((0, 0, 1, 2, -1, 3))
+    if ring is RAT:
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 6)))
+    if rng.random() < 0.2:
+        return Polynomial()
+    return Polynomial(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 3)))
+
+
+def _symmetric(rng, ring, m):
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = _scalar(rng, ring)
+    return WeightMatrix(ring, rows)
+
+
+def _graph(rng, n):
+    # loops and repeated pairs included; repeats merge into multiplicities
+    edges = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3)) for _ in range(rng.randint(0, 7))] if n else []
+    return Multigraph(n, edges)
+
+
+def _pinning(rng, n, m):
+    k = rng.choice((0, 1, 2, n))
+    if k == 0 or n == 0:
+        return None
+    return Pinning({v: rng.randrange(m) for v in rng.sample(range(n), min(k, n))})
+
+
+def _configs(n, m, pin):
+    pinned = pin.assignments if pin is not None else {}
+    for sigma in itertools.product(range(m), repeat=n):
+        if all(sigma[v] == s for v, s in pinned.items()):
+            yield sigma
+
+
+def _instances(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = rng.choice(RINGS)
+        m = rng.randint(1, 3)
+        n = rng.randint(0, 5)
+        yield rng, ring, _symmetric(rng, ring, m), _graph(rng, n)
+
+
+def test_z_brute_equals_sum_of_config_weights():
+    for rng, ring, a, g in _instances(2011, 300):
+        pin = _pinning(rng, g.n, a.n)
+        weights = None
+        if rng.random() < 0.5:
+            weights = DiagonalWeights(ring, [_scalar(rng, ring) for _ in range(a.n)])
+        expect = sum((config_weight(a, g, s, pin, weights) for s in _configs(g.n, a.n, pin)), ring.zero)
+        got = z_brute(a, g, pin=pin, weights=weights)
+        assert got == expect, (a, g, pin, weights)
+        assert type(got) is TYPES[ring.name]
+
+
+def test_z_brute_mixed_ring_weights_keep_the_reference_type():
+    # an INT or RAT matrix with weights from a larger ring: the sum is in the
+    # larger ring once a vertex weight meets a configuration of nonzero edge
+    # product, and stays in the matrix ring otherwise
+    rng = random.Random(7)
+    for _ in range(200):
+        ring, wring = rng.choice(((INT, RAT), (INT, POLY), (RAT, POLY), (RAT, INT), (POLY, INT)))
+        a = _symmetric(rng, ring, rng.randint(1, 3))
+        g = _graph(rng, rng.randint(0, 4))
+        pin = _pinning(rng, g.n, a.n)
+        weights = DiagonalWeights(wring, [_scalar(rng, wring) for _ in range(a.n)])
+        expect = sum((config_weight(a, g, s, pin, weights) for s in _configs(g.n, a.n, pin)), ring.zero)
+        got = z_brute(a, g, pin=pin, weights=weights)
+        assert got == expect and type(got) is type(expect), (a, g, pin, weights)
+
+
+def test_z_brute_zero_matrix_keeps_the_matrix_ring():
+    a = WeightMatrix(INT, [[0, 0], [0, 0]])
+    weights = DiagonalWeights(RAT, [Fraction(1, 2), 3])
+    k2 = Multigraph(2, [(0, 1)])
+    assert type(z_brute(a, k2, weights=weights)) is int
+    assert type(z_brute(WeightMatrix(INT, [[0, 1], [1, 0]]), k2, weights=weights)) is Fraction
+
+
+def test_pinned_edges_and_all_pinned_graphs():
+    a = WeightMatrix(RAT, [[Fraction(1, 2), 3], [3, Fraction(-2, 3)]])
+    g = Multigraph(4, [(0, 1, 2), (1, 1), (1, 2), (2, 3, 3), (3, 3, 2)])
+    weights = DiagonalWeights(RAT, [2, Fraction(1, 5)])
+    for pin in ({0: 1, 1: 0}, {0: 0, 1: 1, 2: 1, 3: 0}, {1: 1, 3: 1}):
+        pin = Pinning(pin)
+        configs = list(_configs(g.n, a.n, pin))
+        expect = sum(config_weight(a, g, s, pin, weights) for s in configs)
+        assert z_brute(a, g, pin=pin, weights=weights) == expect
+    # every vertex pinned: one configuration, no vertex weight
+    sigma = (0, 1, 1, 0)
+    assert z_brute(a, g, pin=Pinning(dict(enumerate(sigma))), weights=weights) == config_weight(a, g, sigma)
+
+
+def test_empty_graph_is_the_empty_product():
+    for ring in RINGS:
+        a = WeightMatrix(ring, [[2, 3], [3, 5]])
+        z = z_brute(a, Multigraph(0))
+        assert z == 1 and type(z) is TYPES[ring.name]
+        assert count_configs(a, Multigraph(0), 1) == 1
+        assert count_configs(a, Multigraph(0), 0) == 0
+        assert z_directed(a, DirectedGraph(0)) == 1
+    a = WeightMatrix(RAT, [[2, 3], [3, 5]])
+    weights = DiagonalWeights(RAT, [Fraction(1, 3), 4])
+    assert z_brute(a, Multigraph(3), weights=weights) == (Fraction(1, 3) + 4) ** 3
+
+
+def test_polynomial_degree_bound_covers_loops_and_vertex_weights():
+    x = Polynomial((0, 1))
+    a = WeightMatrix(POLY, [[x**2 - Fraction(1, 3), Polynomial()], [Polynomial(), -2 * x + Fraction(1, 2)]])
+    g = Multigraph(3, [(0, 0, 3), (0, 1, 2), (1, 2)])
+    weights = DiagonalWeights(POLY, [x**3, Fraction(-1, 7) * x])
+    expect = sum(config_weight(a, g, s, None, weights) for s in _configs(3, 2, None))
+    got = z_brute(a, g, weights=weights)
+    assert got == expect
+    assert got.degree == 2 * 3 + 2 * 2 + 2 + 3 * 3
+
+
+def test_count_configs_matches_a_counter_of_edge_products():
+    for rng, ring, a, g in _instances(1104, 300):
+        pin = _pinning(rng, g.n, a.n)
+        counts = Counter(config_weight(a, g, s, pin) for s in _configs(g.n, a.n, pin))
+        seen = sorted(counts, key=repr)
+        targets = [ring.zero, rng.choice(seen), ring.coerce(Fraction(1, 97)) if ring is not INT else 97]
+        for w in targets:
+            assert count_configs(a, g, w, pin=pin) == counts[w], (a, g, pin, w)
+
+
+def test_count_configs_zero_prefix_counts_every_completion():
+    a = WeightMatrix(INT, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    g = Multigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    proper = 2**6 + 2
+    assert count_configs(a, g, 1) == proper
+    assert count_configs(a, g, 0) == 3**6 - proper
+    assert count_configs(a, g, 0, pin=Pinning({0: 1, 1: 1})) == 3**4
+    assert count_configs(a, g, 1, pin=Pinning({0: 1, 1: 1})) == 0
+
+
+def _direct(a, g):
+    total = a.ring.zero
+    for sigma in itertools.product(range(a.n), repeat=g.n):
+        w = a.ring.one
+        for u, v, mult in g.edges:
+            w = w * a.rows[sigma[u]][sigma[v]] ** mult
+        total = total + w
+    return total
+
+
+def test_z_directed_equals_the_direct_sum():
+    rng = random.Random(1815)
+    for _ in range(200):
+        ring = rng.choice(RINGS)
+        m = rng.randint(1, 3)
+        a = WeightMatrix(ring, [[_scalar(rng, ring) for _ in range(m)] for _ in range(m)])
+        n = rng.randint(0, 5)
+        arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 2)) for _ in range(rng.randint(0, 7))] if n else []
+        g = DirectedGraph(n, arcs)
+        got = z_directed(a, g)
+        assert got == _direct(a, g), (a, g)
+        assert type(got) is TYPES[ring.name]
+
+
+def test_deep_enumeration_needs_no_recursion():
+    path = Multigraph(3000, [(i, i + 1) for i in range(2999)])
+    assert z_brute(WeightMatrix(INT, [[2]]), path) == 2**2999
+    assert count_configs(WeightMatrix(INT, [[2]]), path, 2**2999) == 1
+
+
+def test_budget_messages_do_not_build_the_count():
+    a = WeightMatrix(INT, [[1, 1], [1, 0]])
+    with pytest.raises(BudgetExceeded, match=r"^2\^1000000 configurations exceed the budget 100$"):
+        z_brute(a, Multigraph(10**6), budget=100)
+    with pytest.raises(BudgetExceeded, match=r"^2\^6 configurations exceed the budget 63$"):
+        count_configs(a, Multigraph(7), 1, pin=Pinning({0: 0}), budget=63)
+    assert count_configs(a, Multigraph(7), 1, pin=Pinning({0: 0}), budget=64) == 64
+    with pytest.raises(BudgetExceeded, match=r"^2\^3 edge colorings exceed the budget 7$"):
+        z_edge_model(perfect_matching_model(4), Multigraph(3, [(0, 1), (1, 2), (0, 2)]), budget=7)
+    with pytest.raises(BudgetExceeded, match=r"^1\^5 configurations exceed the budget -3$"):
+        z_directed(WeightMatrix(INT, [[1]]), DirectedGraph(5), budget=-3)
+
+
+def test_non_integer_multiplicity_is_rejected():
+    g = Multigraph(2, [(0, 1, 1.5)])
+    for ring in RINGS:
+        with pytest.raises(BadParameter):
+            z_brute(WeightMatrix(ring, [[1, 2], [2, 3]]), g)
