@@ -282,6 +282,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise BadParameter("--budget must be positive")
         payload, status = _COMMANDS[args.verb](args)
     except PartfunError as exc:
         _emit_error(exc)

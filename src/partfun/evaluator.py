@@ -10,10 +10,11 @@ A configuration is a plain tuple of spins indexed by vertex.  ``z_brute``,
 ``count_configs`` and ``z_directed`` share one depth-first enumeration: the
 free vertices are set in ascending order, each edge's factor is multiplied
 in at the level of its endpoint set last, and a zero partial product skips
-the whole subtree below it.  The sums run over Python ints only: rational
-weights are scaled to integers first, and polynomial weights are evaluated
-at the integer points 0..D and interpolated back exactly.  The enumeration
-budget caps the number of configurations, m^free, before any work starts
+the whole subtree below it.  It runs once, over Python ints only:
+denominators are cleared, and polynomial weights are evaluated at one
+integer x so large that the base-x digits of the result are the
+coefficients of Z (Kronecker substitution).  The enumeration budget caps
+the number of configurations, m^free, before any work starts
 (default 10**8, overridable via the PARTFUN_BUDGET environment variable).
 """
 
@@ -407,10 +408,15 @@ def count_configs(a: WeightMatrix, g: Multigraph, w, pin: Pinning | None = None,
     pinned = pin.assignments if pin is not None else {}
     _check_budget(a.n, g.n - len(pinned), budget)
     w = a.ring.coerce(w)
-    # products are compared, so they stay in the matrix ring: two different
-    # scalars can take the same value at an evaluation point
-    const, levels = _tables(_layout(g.n, g.edges, pinned), a.rows, None, a.ring.one)
-    return _enum_count(levels, a.n, const, w)
+    layout = _layout(g.n, g.edges, pinned)
+    # every product of the lifted entries is compared with the lifted w; a w
+    # beyond the lift's range equals no product of num_edges entries
+    x, scale, rows, _ = _lift(a.rows, None, g.num_edges(), 0)
+    target = [v * scale for v in (w.coeffs if isinstance(w, Polynomial) else (w,))]
+    if any(v.denominator != 1 or 2 * abs(v) >= x for v in target):
+        return 0
+    const, levels = _tables(layout, rows, None)
+    return _enum_count(levels, a.n, const, _at([int(v) for v in target], x))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +463,8 @@ def _layout(n, edges, pinned):
     return free, const, unary, pairs
 
 
-def _tables(layout, rows, diag, one):
-    """Fill a layout with matrix entries and optional vertex weights.
+def _tables(layout, rows, diag):
+    """Fill a layout with integer matrix entries and optional vertex weights.
 
     Returns (const, levels): const is the product of the pinned-pinned
     factors, and levels[i] = (vec, nbrs).  vec[s] is the factor of level i
@@ -478,14 +484,14 @@ def _tables(layout, rows, diag, one):
                 powers[key] = rows if mult == 1 else [[v**mult for v in row] for row in rows]
         return powers[key]
 
-    const = one
+    const = 1
     for r, c, mult in const_terms:
         const = const * power(mult)[r][c]
     levels = []
     for i in range(len(free)):
         vec = None
         if unary[i] or diag is not None:
-            vec = list(diag) if diag is not None else [one] * m
+            vec = list(diag) if diag is not None else [1] * m
             for r, c, mult in unary[i]:
                 p = power(mult)
                 vec = [w * p[s if r is None else r][s if c is None else c] for s, w in enumerate(vec)]
@@ -497,7 +503,7 @@ def _tables(layout, rows, diag, one):
                 table = p if table is None else [list(map(mul, x, y)) for x, y in zip(table, p)]
             nbrs.append((j, table))
         if vec is None and not nbrs:
-            vec = [one] * m
+            vec = [1] * m
         levels.append((vec, nbrs))
     return const, levels
 
@@ -610,58 +616,51 @@ def _at(coeffs, x):
     return acc
 
 
-def _interpolate(values):
-    """Coefficients, lowest first, of the polynomial of degree below
-    len(values) that takes values[x] at x = 0, 1, ...
+def _lift(rows, diag, num_edges, free):
+    """The integer image of a matrix and optional vertex weights
+    (Kronecker substitution); returns (x, scale, int_rows, int_diag).
 
-    Newton divided differences; rings.vandermonde_solve solves a
-    different system (powers from 1, one unknown per node).
+    Entries times c and weights times d have integer coefficients, and
+    scale = c**num_edges * d**free.  With L and L_d their largest l1 norms,
+    every coefficient of a sum of m**free scaled configuration weights lies
+    within bound = m**free * L**num_edges * L_d**free.  Evaluated at
+    x = 2 * bound + 1, such a sum has its coefficients as balanced base-x
+    digits, and two such sums are equal exactly when their values are.
+    free = 0 bounds a single product of num_edges entries.
     """
-    n = len(values)
-    dd = [Fraction(v) for v in values]
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / k
-    coeffs = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        # coeffs := coeffs * (X - k) + dd[k]
-        for i in range(n - 1, 0, -1):
-            coeffs[i] = coeffs[i - 1] - k * coeffs[i]
-        coeffs[0] = dd[k] - k * coeffs[0]
-    return coeffs
+    m = len(rows)
+    c, flat = _integer_form(v for row in rows for v in row)
+    d, diag_flat = _integer_form(diag or ())
+    big_l = max(sum(map(abs, t)) for t in flat)
+    big_ld = max((sum(map(abs, t)) for t in diag_flat), default=1)
+    x = 2 * m**free * big_l**num_edges * big_ld**free + 1
+    values = [_at(t, x) for t in flat]
+    int_diag = None if diag is None else [_at(t, x) for t in diag_flat]
+    return x, c**num_edges * d**free, [values[i * m:(i + 1) * m] for i in range(m)], int_diag
+
+
+def _digits(z, x):
+    """Balanced base-x digits of z, lowest first, each within x // 2."""
+    half = x // 2
+    out = []
+    while z:
+        r = z % x
+        if r > half:
+            r -= x
+        out.append(r)
+        z = (z - r) // x
+    return out
 
 
 def _exact_z(layout, num_edges, rows, diag, ring):
-    """Z of a layout filled with rows and diag, as a scalar of ring; the
-    enumeration itself runs on Python ints.
-
-    Scaling the entries by c scales Z by c**num_edges, and scaling the
-    vertex weights by d scales it by d**free.  Polynomial scalars are
-    evaluated at X = 0..D, where D bounds the degree of Z, and Z is
-    interpolated back from those values.
-    """
-    if ring.name == "int":
-        return _int_z(layout, rows, diag)
-    m = len(rows)
-    free = len(layout[0])
-    c, flat = _integer_form(v for row in rows for v in row)
-    int_rows = [flat[i * m:(i + 1) * m] for i in range(m)]
-    scale = c**num_edges
-    deg = max(max(len(t) for t in flat) - 1, 0) * num_edges
-    if diag is not None:
-        d, int_diag = _integer_form(diag)
-        scale *= d**free
-        deg += max(max(len(t) for t in int_diag) - 1, 0) * free
-    values = [
-        _int_z(layout, [[_at(t, x) for t in row] for row in int_rows],
-               None if diag is None else [_at(t, x) for t in int_diag])
-        for x in range(deg + 1)
-    ]
+    """Z of a layout filled with rows and diag, as a scalar of ring, from
+    one enumeration over Python ints; for RAT and POLY it sums the _lift of
+    rows and diag, which yields scale * Z(x)."""
+    x = scale = 1
+    if ring.name != "int":
+        x, scale, rows, diag = _lift(rows, diag, num_edges, len(layout[0]))
+    const, levels = _tables(layout, rows, diag)
+    z = const * _enum_sum(levels, len(rows)) if const else 0
     if ring.name == "poly":
-        return Polynomial(v / scale for v in _interpolate(values))
-    return Fraction(values[0], scale)
-
-
-def _int_z(layout, rows, diag):
-    const, levels = _tables(layout, rows, diag, 1)
-    return const * _enum_sum(levels, len(rows)) if const else 0
+        return Polynomial(Fraction(v, scale) for v in _digits(z, x))
+    return Fraction(z, scale) if ring.name == "rat" else z

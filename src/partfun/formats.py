@@ -85,14 +85,34 @@ def _graph_from_json_text(text: str):
         raise FormatError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise FormatError("graph JSON needs a 'vertices' field")
+    edges = _json_list(obj.get("edges", []), "edges")
+    if not all(isinstance(e, list) and len(e) in (2, 3) for e in edges):
+        raise FormatError("bad graph JSON: each edge must be a list [u, v] or [u, v, mult]")
+    pins = obj.get("pinning", {})
+    if not isinstance(pins, dict):
+        raise FormatError("bad graph JSON: 'pinning' must be an object")
+    if not all(k.isascii() and k.isdigit() for k in pins):
+        raise FormatError(f"bad graph JSON: pinned vertices must be decimal strings, got {list(pins)}")
     try:
-        g = Multigraph(int(obj["vertices"]), [tuple(e) for e in obj.get("edges", [])])
-        pins = obj.get("pinning") or {}
-        pin = Pinning({int(k): int(v) for k, v in pins.items()}) if pins else None
-        labels = tuple(int(v) for v in obj.get("labels", []))
-    except (PartfunError, TypeError, ValueError) as exc:
+        g = Multigraph(_json_int(obj["vertices"]), [tuple(map(_json_int, e)) for e in edges])
+        pin = Pinning({int(k): _json_int(v) for k, v in pins.items()}) if pins else None
+        labels = tuple(map(_json_int, _json_list(obj.get("labels", []), "labels")))
+    except PartfunError as exc:
         raise FormatError(f"bad graph JSON: {exc}") from exc
     return g, pin, labels
+
+
+def _json_list(value, field):
+    if not isinstance(value, list):
+        raise FormatError(f"bad graph JSON: '{field}' must be a list")
+    return value
+
+
+def _json_int(value):
+    # bool is an int subclass, and a float would be truncated silently
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"bad graph JSON: expected an integer, got {value!r}")
+    return value
 
 
 def dump_graph(g: Multigraph, pin: Pinning | None = None, labels=()) -> str:
@@ -164,6 +184,8 @@ def parse_diagonal(text: str) -> DiagonalWeights:
     if not isinstance(obj, dict) or "diag" not in obj:
         raise FormatError("diagonal JSON needs 'ring' and 'diag'")
     ring = _ring_of(obj)
+    if not isinstance(obj["diag"], list):
+        raise FormatError("diagonal weights must be a list")
     try:
         return DiagonalWeights(ring, [ring.from_json(v) for v in obj["diag"]])
     except PartfunError as exc:

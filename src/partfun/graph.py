@@ -363,15 +363,19 @@ def components(g: Multigraph):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
+    # every root is the smallest vertex of its component, so the groups
+    # come out ordered by smallest vertex, each listed in ascending order
     groups = {}
     for v in range(g.n):
         groups.setdefault(find(v), []).append(v)
+    edges = {root: [] for root in groups}
+    for e in g.edges:
+        edges[find(e[0])].append(e)
     out = []
-    for root in sorted(groups):
-        verts = tuple(sorted(groups[root]))
+    for root, verts in groups.items():
         index = {v: i for i, v in enumerate(verts)}
-        sub = Multigraph(len(verts), [(index[u], index[v], m) for u, v, m in g.edges if find(u) == root])
-        out.append((verts, sub))
+        sub = Multigraph(len(verts), [(index[u], index[v], m) for u, v, m in edges[root]])
+        out.append((tuple(verts), sub))
     return out
 
 

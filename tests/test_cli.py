@@ -229,3 +229,42 @@ def test_budget_env_variable(files, capsys, monkeypatch):
     _, err = out_of(capsys)
     assert code == 1
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_malformed_inputs_exit_2_with_one_error_line(files, capsys):
+    matrix = files("a.json", INDEP)
+    graph = files("g.txt", P3)
+    cases = [
+        (["eval", "--matrix", matrix, "--graph", files("g1.json", '{"vertices": 2.7, "edges": []}')], "FormatError"),
+        (["eval", "--matrix", matrix, "--graph", files("g2.json", '{"vertices": true}')], "FormatError"),
+        (["eval", "--matrix", matrix, "--graph", files("g3.json", '{"vertices": 2, "edges": [[0, 1, true]]}')],
+         "FormatError"),
+        (["eval", "--matrix", matrix, "--graph", files("g4.json", '{"vertices": 2, "pinning": [1, 2]}')],
+         "FormatError"),
+        (["eval", "--matrix", matrix, "--graph", files("g5.json", '{"vertices": 2, "labels": ["0"]}')],
+         "FormatError"),
+        (["eval", "--matrix", matrix, "--graph", graph, "--weights", files("d.json", '{"ring":"int","diag":5}')],
+         "FormatError"),
+        (["eval", "--matrix", matrix, "--graph", graph, "--budget", "-3"], "BadParameter"),
+        (["eval", "--matrix", matrix, "--graph", graph, "--budget", "0"], "BadParameter"),
+        (["invariant", "--name", "independent-sets", "--graph", graph, "--budget", "0"], "BadParameter"),
+        (["connection", "--matrix", matrix, "--k", "0", "--budget", "-1"], "BadParameter"),
+    ]
+    for argv, error in cases:
+        code = run(argv)
+        out, err = out_of(capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"} and payload["error"] == error, argv
+    run(["eval", "--matrix", matrix, "--graph", graph, "--budget", "0"])
+    assert json.loads(out_of(capsys)[1])["message"] == "--budget must be positive"
+
+
+def test_graph_json_with_integers_still_evaluates(files, capsys):
+    graph = files("g.json", '{"vertices": 3, "edges": [[0, 1], [1, 2, 2]], "pinning": {"1": 0}, "labels": [2]}')
+    code = run(["eval", "--matrix", files("a.json", INDEP), "--graph", graph, "--budget", "4"])
+    out, err = out_of(capsys)
+    assert code == 0 and err == ""
+    assert out == '{"value":"4"}'

@@ -99,3 +99,36 @@ def test_diagonal_round_trip():
     assert again == d
     with pytest.raises(FormatError):
         parse_diagonal('{"ring": "rat"}')
+
+
+@pytest.mark.parametrize("bad", [
+    {"vertices": 2.7},
+    {"vertices": True},
+    {"vertices": "2"},
+    {"vertices": 2, "edges": [[0, 1, True]]},
+    {"vertices": 2, "edges": [[0, 1.0]]},
+    {"vertices": 2, "edges": [[0, "1"]]},
+    {"vertices": 2, "edges": [[0, 1, 2.5]]},
+    {"vertices": 2, "edges": [[0]]},
+    {"vertices": 2, "edges": ["01"]},
+    {"vertices": 2, "edges": "01"},
+    {"vertices": 2, "pinning": [1, 2]},
+    {"vertices": 2, "pinning": None},
+    {"vertices": 2, "pinning": {"0": "1"}},
+    {"vertices": 2, "pinning": {"0": 1.0}},
+    {"vertices": 2, "pinning": {"0": False}},
+    {"vertices": 2, "pinning": {"x": 1}},
+    {"vertices": 2, "pinning": {"-1": 1}},
+    {"vertices": 2, "labels": [0.5]},
+    {"vertices": 2, "labels": [True]},
+    {"vertices": 2, "labels": "0"},
+])
+def test_graph_json_accepts_only_true_integers(bad):
+    with pytest.raises(FormatError):
+        parse_graph(json.dumps(bad))
+
+
+def test_diagonal_must_be_a_list():
+    for bad in ('{"ring": "int", "diag": 5}', '{"ring": "int", "diag": "12"}', '{"ring": "int", "diag": {"0": 1}}'):
+        with pytest.raises(FormatError):
+            parse_diagonal(bad)

@@ -147,3 +147,16 @@ def test_adjacency_lists_neighbors():
     assert adj[0] == [1]
     assert sorted(adj[1]) == [0, 1]
     assert adj[2] == []
+
+
+def test_components_with_interleaved_vertices_loops_and_multiplicities():
+    g = Multigraph(8, [(5, 6), (0, 4, 2), (4, 4), (2, 6, 3), (1, 1), (3, 7)])
+    comps = components(g)
+    assert [verts for verts, _ in comps] == [(0, 4), (1,), (2, 5, 6), (3, 7)]
+    assert [sub for _, sub in comps] == [
+        Multigraph(2, [(0, 1, 2), (1, 1)]),
+        Multigraph(1, [(0, 0)]),
+        Multigraph(3, [(1, 2), (0, 2, 3)]),
+        Multigraph(2, [(0, 1)]),
+    ]
+    assert sum(sub.num_edges() for _, sub in comps) == g.num_edges()

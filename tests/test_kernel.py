@@ -220,3 +220,77 @@ def test_non_integer_multiplicity_is_rejected():
     for ring in RINGS:
         with pytest.raises(BadParameter):
             z_brute(WeightMatrix(ring, [[1, 2], [2, 3]]), g)
+
+
+def _big_rational(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 7, 10**6 + 3)))
+
+
+def test_lift_handles_large_negative_rational_coefficients():
+    rng = random.Random(1882)
+    for _ in range(60):
+        ring = rng.choice((RAT, POLY))
+        m = rng.randint(1, 3)
+        if ring is RAT:
+            scalar = lambda: _big_rational(rng)  # noqa: E731
+        else:
+            scalar = lambda: Polynomial(_big_rational(rng) for _ in range(rng.randint(0, 3)))  # noqa: E731
+        rows = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                rows[i][j] = rows[j][i] = scalar()
+        a = WeightMatrix(ring, rows)
+        g = _graph(rng, rng.randint(0, 4))
+        pin = _pinning(rng, g.n, m)
+        weights = DiagonalWeights(ring, [scalar() for _ in range(m)])
+        expect = sum((config_weight(a, g, s, pin, weights) for s in _configs(g.n, m, pin)), ring.zero)
+        got = z_brute(a, g, pin=pin, weights=weights)
+        assert got == expect and type(got) is TYPES[ring.name], (a, g, pin, weights)
+
+
+def test_all_zero_polynomial_matrix():
+    zero = WeightMatrix(POLY, [[0, 0], [0, 0]])
+    x = Polynomial((0, 1))
+    g = Multigraph(3, [(0, 1), (1, 2, 2)])
+    assert z_brute(zero, g) == Polynomial()
+    assert z_brute(zero, g, pin=Pinning({1: 0}), weights=DiagonalWeights(POLY, [x, 3])) == Polynomial()
+    assert z_brute(zero, Multigraph(3)) == Polynomial((8,))
+    assert z_directed(zero, DirectedGraph(2, [(0, 1)])) == Polynomial()
+    assert count_configs(zero, g, 0) == 8
+    assert count_configs(zero, g, 1) == 0
+    assert count_configs(zero, Multigraph(2), 1) == 4
+
+
+def test_count_configs_targets_beyond_the_lift():
+    x = Polynomial((0, 1))
+    # the largest l1 norm is 2 and one edge is compared, so products are
+    # told apart at the integer point 2 * 2 + 1 = 5
+    a = WeightMatrix(POLY, [[2 * x, 1], [1, -2 * x]])
+    k2 = Multigraph(2, [(0, 1)])
+    assert count_configs(a, k2, 2 * x) == 1
+    assert count_configs(a, k2, -2 * x) == 1
+    assert count_configs(a, k2, 1) == 2
+    for w in (10, -10, 3 * x, 5 * x - 10, x**2 - 5 * x + 10, 2 * x + 5, 6):
+        assert count_configs(a, k2, w) == 0, w
+    # INT: a target past m**0 * L**|E| equals no product
+    b = WeightMatrix(INT, [[3, -1], [-1, 0]])
+    p3 = Multigraph(3, [(0, 1), (1, 2)])
+    counts = Counter(config_weight(b, p3, s) for s in _configs(3, 2, None))
+    for w in (9, 10, -9, -10, 0, 3, -3, 1):
+        assert count_configs(b, p3, w) == counts[w], w
+
+
+def test_count_configs_targets_with_other_denominators():
+    a = WeightMatrix(RAT, [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), 0]])
+    g = Multigraph(3, [(0, 1), (1, 2), (2, 2)])
+    counts = Counter(config_weight(a, g, s) for s in _configs(3, 2, None))
+    assert counts[0] and counts[Fraction(1, 8)]
+    for w in (0, Fraction(1, 8), Fraction(-1, 12), Fraction(1, 7), Fraction(1, 16), Fraction(1, 5)):
+        assert count_configs(a, g, w) == counts[w], w
+    x = Polynomial((0, 1))
+    b = WeightMatrix(POLY, [[Fraction(1, 2) * x, 0], [0, Fraction(1, 3)]])
+    counts = Counter(config_weight(b, g, s) for s in _configs(3, 2, None))
+    for w in (Polynomial(), x**3 * Fraction(1, 8), x**3 * Fraction(1, 7), x**3 * Fraction(1, 16),
+              Fraction(1, 27), x * Fraction(1, 27)):
+        assert count_configs(b, g, w) == counts[w], w
+    assert count_configs(b, g, 0, pin=Pinning({0: 0, 1: 1})) == 2
