@@ -6,7 +6,8 @@ against its independent combinatorial oracle, `connection` reports a
 connection matrix with its PSD/rank facts, and `verify` runs the identity
 suites.  Output is a single JSON object on stdout; errors go to stderr as
 ``{"error": <type>, "message": <text>}``.  Exit status: 0 on success, 1 when
-a computation or verification fails, 2 on bad input.
+a computation or verification fails, 2 on bad input; any other exception is
+reported as an ``InternalError`` with status 1.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .errors import (
 from .evaluator import z_brute
 from .fastpath import classify, z_fast
 from .formats import parse_diagonal, parse_graph, parse_matrix
-from .graph import components
 from .models import (
     NamedModel,
-    constant_diagonal_matrix,
+    _tutte_from_z,
     even_induced_subgraphs,
     independent_sets,
     ising_polynomial,
@@ -231,14 +231,7 @@ def _cmd_invariant(args):
     if name == "tutte":
         x = _rational(args.x, "--x")
         y = _rational(args.y, "--y")
-        n = (x - 1) * (y - 1)
-        if n.denominator != 1 or n <= 0:
-            raise BadParameter(f"(x-1)(y-1) = {n} is not a positive integer")
-        n = int(n)
-        a = constant_diagonal_matrix(n, y, 1)
-        big_q = len(components(g))
-        z = (y - 1) ** (big_q - g.n) * Fraction(1, n) ** big_q \
-            * z_brute(a, g, budget=budget)
+        z = _tutte_from_z(g, x, y, budget)
         oracle = tutte_eval_brute(g, x, y, budget=budget)
         return _agreement(RAT.to_json(z), RAT.to_json(oracle), z == oracle), 0
 
@@ -272,8 +265,8 @@ _COMMANDS = {
 }
 
 
-def _emit_error(exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
+def _emit_error(name: str, message: str) -> None:
+    payload = {"error": name, "message": message}
     print(json.dumps(payload, separators=(",", ":")), file=sys.stderr)
 
 
@@ -286,8 +279,12 @@ def run(argv=None) -> int:
             raise BadParameter("--budget must be positive")
         payload, status = _COMMANDS[args.verb](args)
     except PartfunError as exc:
-        _emit_error(exc)
+        _emit_error(type(exc).__name__, str(exc))
         return 2 if type(exc).__name__ in _INPUT_ERRORS else 1
+    except Exception as exc:
+        # a fault of the program, not of the input: one JSON line, no traceback
+        _emit_error("InternalError", f"{type(exc).__name__}: {exc}")
+        return 1
     print(json.dumps(payload, separators=(",", ":")))
     return status
 

@@ -6,11 +6,14 @@ vertices (fixed spins, excluded from vertex weights), diagonal vertex
 weights, directed graphs, r-uniform hypergraphs with symmetric weight
 tensors, and edge models (weights on the multiset of incident edge colors).
 
-A configuration is a plain tuple of spins indexed by vertex.  ``z_brute``,
-``count_configs`` and ``z_directed`` share one depth-first enumeration: the
-free vertices are set in ascending order, each edge's factor is multiplied
-in at the level of its endpoint set last, and a zero partial product skips
-the whole subtree below it.  It runs once, over Python ints only:
+A configuration is a plain tuple of spins indexed by vertex.  Every sum
+here, and the brute branch of ``moebius.y_injective``, is a sum over spins of
+a product of factors, each a table over a scope of variables: an edge, a
+weighted vertex, a hyperedge, an edge-model vertex over its incident edge
+occurrences, or a 0/1 "distinct spins" pair.  One depth-first enumeration
+sets the free variables in ascending order, multiplies each factor in at the
+level of its scope set last, and skips the subtree below a zero partial
+product.  It runs once, over Python ints only: for RAT and POLY
 denominators are cleared, and polynomial weights are evaluated at one
 integer x so large that the base-x digits of the result are the
 coefficients of Z (Kronecker substitution).  The enumeration budget caps
@@ -24,7 +27,8 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import getitem, mul
 
 from .errors import (
     ArityMismatch,
@@ -280,16 +284,15 @@ def z_brute(a: WeightMatrix, g: Multigraph, pin: Pinning | None = None,
     pinned = pin.assignments if pin is not None else {}
     free = g.n - len(pinned)
     _check_budget(a.n, free, budget)
-    layout = _layout(g.n, g.edges, pinned)
     # the result lies in the larger ring only once a vertex weight is
     # multiplied into a configuration of nonzero edge product
     promoted = weights is not None and free > 0 and not a.ring.contains(weights.ring)
     ring = weights.ring if promoted else a.ring
-    diag = weights.diag if weights is not None else None
-    z = _exact_z(layout, g.num_edges(), a.rows, diag, ring)
+    vertex = [] if weights is None else [((v,), weights.diag, 1) for v in range(g.n) if v not in pinned]
+    z = _exact_z(a.n, g.n, [((u, v), a.rows, k) for u, v, k in g.edges] + vertex, ring, pinned)
     if promoted and not z:
         support = [[int(bool(v)) for v in row] for row in a.rows]
-        if not _exact_z(layout, g.num_edges(), support, None, INT):
+        if not _exact_z(a.n, g.n, [((u, v), support, k) for u, v, k in g.edges], INT, pinned):
             return a.ring.zero
     return z
 
@@ -297,7 +300,10 @@ def z_brute(a: WeightMatrix, g: Multigraph, pin: Pinning | None = None,
 def z_directed(a: WeightMatrix, g: DirectedGraph, budget: int | None = None):
     """Partition function of a directed graph; A need not be symmetric."""
     _check_budget(a.n, g.n, budget)
-    return _exact_z(_layout(g.n, g.edges, {}), sum(m for _, _, m in g.edges), a.rows, None, a.ring)
+    # the kernel reads a table in vertex order: an arc from a later vertex reads the transpose
+    flipped = [list(col) for col in zip(*a.rows)]
+    arcs = [((u, v), a.rows, k) if u <= v else ((v, u), flipped, k) for u, v, k in g.edges]
+    return _exact_z(a.n, g.n, arcs, a.ring, {})
 
 
 class SymmetricTensor:
@@ -331,47 +337,40 @@ class SymmetricTensor:
 
 
 def z_hypergraph(t: SymmetricTensor, h: Hypergraph, budget: int | None = None):
-    """Partition function of an r-uniform hypergraph."""
+    """Partition function of an r-uniform hypergraph: one factor per
+    hyperedge."""
     if t.arity != h.arity:
         raise ArityMismatch(f"tensor arity {t.arity} against hypergraph arity {h.arity}")
     _check_budget(t.n, h.n, budget)
-    total = t.ring.zero
-    for sigma in itertools.product(range(t.n), repeat=h.n):
-        w = t.ring.one
-        for he in h.hyperedges:
-            w = w * t.table[tuple(sigma[v] for v in he)]
-            if not w:
-                break
-        else:
-            total = total + w
-    return total
+    table = [t.table[idx] for idx in sorted(t.table)]
+    for _ in range(t.arity - 1):
+        table = [table[i:i + t.n] for i in range(0, len(table), t.n)]
+    return _exact_z(t.n, h.n, [(he, table, 1) for he in h.hyperedges], t.ring, {})
 
 
 def z_edge_model(f: EdgeModel, g: Multigraph, budget: int | None = None):
     """Edge-model partition function: sum over edge colorings tau of the
-    product over vertices of F(t(tau, v))."""
+    product over vertices of F(t(tau, v)).  The edge occurrences are the
+    variables, each vertex a factor over its incident occurrences."""
     _check_budget(f.n, g.num_edges(), budget, "edge colorings")
-    occurrences = list(g.edge_occurrences())
-    e = len(occurrences)
     if g.n and max(g.degrees(), default=0) > f.max_degree:
         raise BadParameter("edge-model table does not cover the maximum degree")
     incident = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(occurrences):
+    for idx, (u, v) in enumerate(g.edge_occurrences()):
         incident[u].append(idx)
         incident[v].append(idx)  # loops are incident twice
-    total = f.ring.zero
-    for tau in itertools.product(range(f.n), repeat=e):
-        w = f.ring.one
-        for v in range(g.n):
-            counts = [0] * f.n
-            for idx in incident[v]:
-                counts[tau[idx]] += 1
-            w = w * f.table[tuple(counts)]
-            if not w:
-                break
-        else:
-            total = total + w
-    return total
+    tables = {}
+
+    def colors(depth, counts):
+        # entry [c_1]..[c_depth] is F at counts plus one for each c_i; it
+        # depends on (depth, counts) only, so equal subtables are shared
+        if (depth, counts) not in tables:
+            tables[depth, counts] = f.table[counts] if not depth else [
+                colors(depth - 1, counts[:c] + (counts[c] + 1,) + counts[c + 1:]) for c in range(f.n)]
+        return tables[depth, counts]
+
+    factors = [(tuple(inc), colors(len(inc), (0,) * f.n), 1) for inc in incident]
+    return _exact_z(f.n, g.num_edges(), factors, f.ring, {})
 
 
 def scalar_key(v):
@@ -408,111 +407,104 @@ def count_configs(a: WeightMatrix, g: Multigraph, w, pin: Pinning | None = None,
     pinned = pin.assignments if pin is not None else {}
     _check_budget(a.n, g.n - len(pinned), budget)
     w = a.ring.coerce(w)
-    layout = _layout(g.n, g.edges, pinned)
     # every product of the lifted entries is compared with the lifted w; a w
-    # beyond the lift's range equals no product of num_edges entries
-    x, scale, rows, _ = _lift(a.rows, None, g.num_edges(), 0)
+    # beyond the lift's range (x = 0: not lifted) equals no such product
+    x, scale, factors = _lift([((u, v), a.rows, k) for u, v, k in g.edges], a.n, 0, a.ring)
     target = [v * scale for v in (w.coeffs if isinstance(w, Polynomial) else (w,))]
-    if any(v.denominator != 1 or 2 * abs(v) >= x for v in target):
+    if x and any(v.denominator != 1 or 2 * abs(v) >= x for v in target):
         return 0
-    const, levels = _tables(layout, rows, None)
+    const, levels = _tables(a.n, g.n, factors, pinned)
     return _enum_count(levels, a.n, const, _at([int(v) for v in target], x))
 
 
 # ---------------------------------------------------------------------------
-# the enumeration kernel of z_brute, count_configs and z_directed
-#
-# Free vertices are set one per level, in ascending order.  Each edge factor
-# is multiplied in at the level of its endpoint set last, so a partial
-# product is final for its prefix of spins, and a zero one rules out every
-# completion.  Every configuration is still covered: there is no
-# memoisation, and the cost stays m**free.
+# the enumeration kernel: a factor (scope, table, mult) is table**mult indexed
+# by the spins of its scope's variables, which may repeat.  There is no
+# memoisation: every configuration is covered, and the cost stays m**free.
 
 
-def _layout(n, edges, pinned):
-    """Where each edge factor of the enumeration is multiplied in.
+def _map(table, fn, memo=None):
+    """fn of every entry of a nested table; a subtable shared above the last axis maps once."""
+    if not isinstance(table, (list, tuple)):
+        return fn(table)
+    if not isinstance(table[0], (list, tuple)):
+        return list(map(fn, table))
+    memo = {} if memo is None else memo
+    if id(table) not in memo:
+        memo[id(table)] = [_map(t, fn, memo) for t in table]
+    return memo[id(table)]
 
-    Returns (free, const, unary, pairs).  free lists the free vertices, level
-    i setting free[i].  const lists the (row, col, mult) factors of edges
-    between two pinned vertices.  unary[i] lists the factors of level i
-    alone as (row, col, mult), where None stands for the level's own spin.
-    pairs[i] maps an earlier level j to its (mult, flipped) factors: the
-    entry is A[s_j][s_i], or A[s_i][s_j] for an arc whose tail is set last.
+
+def _times(t, u):
+    """Entrywise product of two nested tables of one shape."""
+    if isinstance(t[0], (list, tuple)):
+        return [_times(a, b) for a, b in zip(t, u)]
+    return list(map(mul, t, u))
+
+
+def _restrict(table, mult, pins, reps, m):
+    """A symmetric table**mult read at the spins pins on its leading axes; the i-th free variable
+    spans the next reps[i] axes, so a repeated variable (a loop) reads the diagonal."""
+    for s in pins:
+        table = table[s]
+    if not reps:
+        return table**mult
+    if mult == 1 and max(reps) == 1:
+        return table
+    if len(reps) == 1:
+        return [reduce(getitem, (s,) * reps[0], table) ** mult for s in range(m)]
+    return [_restrict(table, mult, (s,) * reps[0], reps[1:], m) for s in range(m)]
+
+
+def _tables(m, n, factors, pinned):
+    """Hang integer factors on the levels of an enumeration of n variables.
+
+    Returns (const, levels): const is the product of the factors over
+    pinned variables only, and levels[i] = (vec, pairs, wider) for the i-th
+    free variable.  vec[s] is the factor of level i alone at spin s, None
+    when there is none but a shared one; pairs lists (j, table), wider
+    (js, table), table[s_j]..[s_i] being the factor shared with level(s) js.
     """
     free = [v for v in range(n) if v not in pinned]
-    level = {v: i for i, v in enumerate(free)}
-    const = []
-    unary = [[] for _ in free]
-    pairs = [{} for _ in free]
-    for u, v, mult in edges:
-        if not isinstance(mult, int):
-            raise BadParameter(f"edge multiplicity must be an integer, got {mult!r}")
-        lu, lv = level.get(u), level.get(v)
-        if lu is None and lv is None:
-            const.append((pinned[u], pinned[v], mult))
-        elif lu is None:
-            unary[lv].append((pinned[u], None, mult))
-        elif lv is None:
-            unary[lu].append((None, pinned[v], mult))
-        elif lu == lv:
-            unary[lu].append((None, None, mult))
-        elif lu < lv:
-            pairs[lv].setdefault(lu, []).append((mult, False))
-        else:
-            pairs[lu].setdefault(lv, []).append((mult, True))
-    return free, const, unary, pairs
-
-
-def _tables(layout, rows, diag):
-    """Fill a layout with integer matrix entries and optional vertex weights.
-
-    Returns (const, levels): const is the product of the pinned-pinned
-    factors, and levels[i] = (vec, nbrs).  vec[s] is the factor of level i
-    alone at spin s, None when there is none and nbrs is nonempty; nbrs
-    lists (j, table), table[s_j][s_i] being the factor shared with level j.
-    """
-    free, const_terms, unary, pairs = layout
-    m = len(rows)
-    powers = {}
-
-    def power(mult, flipped=False):
-        key = (mult, flipped)
-        if key not in powers:
-            if flipped:
-                powers[key] = [list(col) for col in zip(*power(mult))]
-            else:
-                powers[key] = rows if mult == 1 else [[v**mult for v in row] for row in rows]
-        return powers[key]
-
-    const = 1
-    for r, c, mult in const_terms:
-        const = const * power(mult)[r][c]
+    level = {v: i for i, v in enumerate(free)} if pinned else None
+    groups = [{} for _ in free]
+    cache, const = {}, 1
+    for scope, table, mult in factors:
+        lv = tuple(map(level.get, scope)) if pinned else scope  # level v is v when nothing is pinned
+        # tables are symmetric: pinned variables are read first, free ones in
+        # level order.  A power, a pin or a repeated variable needs a table of
+        # its own; any other factor (binary ones checked directly) reads it as is
+        if mult != 1 or pinned and None in lv or not (
+                lv[0] < lv[1] if len(lv) == 2 else all(map(int.__lt__, lv, lv[1:]))):
+            order = sorted(set(lv) - {None})
+            pins = tuple(sorted([pinned[v] for v in scope if v in pinned])) if pinned else ()
+            key = (id(table), mult, pins, tuple(map(lv.count, order)))
+            if key not in cache:
+                cache[key] = _restrict(table, mult, pins, key[3], m)
+            table, lv = cache[key], tuple(order)
+        if not lv:
+            const *= table
+            continue
+        js, group = lv[:-1], groups[lv[-1]]
+        group[js] = _times(group[js], table) if js in group else table
     levels = []
-    for i in range(len(free)):
-        vec = None
-        if unary[i] or diag is not None:
-            vec = list(diag) if diag is not None else [1] * m
-            for r, c, mult in unary[i]:
-                p = power(mult)
-                vec = [w * p[s if r is None else r][s if c is None else c] for s, w in enumerate(vec)]
-        nbrs = []
-        for j, terms in pairs[i].items():
-            table = None
-            for mult, flipped in terms:
-                p = power(mult, flipped)
-                table = p if table is None else [list(map(mul, x, y)) for x, y in zip(table, p)]
-            nbrs.append((j, table))
-        if vec is None and not nbrs:
-            vec = [1] * m
-        levels.append((vec, nbrs))
+    for group in groups:
+        vec = group.pop((), None)
+        pairs = [(js[0], t) for js, t in group.items() if len(js) == 1]
+        wider = [(js, t) for js, t in group.items() if len(js) > 1] if len(pairs) < len(group) else ()
+        levels.append(([1] * m if vec is None and not group else vec, pairs, wider))
     return const, levels
 
 
 def _level_factors(level, sigma):
     """The factor of each spin at one level, given the spins above it."""
-    vec, nbrs = level
-    for j, table in nbrs:
-        row = table[sigma[j]]
+    vec, pairs, wider = level
+    for j, row in pairs:
+        row = row[sigma[j]]
+        vec = row if vec is None else list(map(mul, vec, row))
+    for js, row in wider:
+        for j in js:
+            row = row[sigma[j]]
         vec = row if vec is None else list(map(mul, vec, row))
     return vec
 
@@ -616,27 +608,37 @@ def _at(coeffs, x):
     return acc
 
 
-def _lift(rows, diag, num_edges, free):
-    """The integer image of a matrix and optional vertex weights
-    (Kronecker substitution); returns (x, scale, int_rows, int_diag).
+def _lift(factors, m, free, ring):
+    """The integer image of the factors' tables (Kronecker substitution):
+    (x, scale, factors).  INT is never lifted: x = 0, scale = 1.
 
-    Entries times c and weights times d have integer coefficients, and
-    scale = c**num_edges * d**free.  With L and L_d their largest l1 norms,
-    every coefficient of a sum of m**free scaled configuration weights lies
-    within bound = m**free * L**num_edges * L_d**free.  Evaluated at
-    x = 2 * bound + 1, such a sum has its coefficients as balanced base-x
-    digits, and two such sums are equal exactly when their values are.
-    free = 0 bounds a single product of num_edges entries.
+    A table's entries times its own c have integer coefficients; scale is
+    the product of c**mult.  With L a table's largest l1 norm after
+    scaling, every coefficient of a sum of m**free scaled products lies
+    within bound = m**free * prod L**mult, so at x = 2 * bound + 1 the sum
+    has its coefficients as balanced base-x digits, and two such sums are
+    equal exactly when their values are.  free = 0 bounds one product.
     """
-    m = len(rows)
-    c, flat = _integer_form(v for row in rows for v in row)
-    d, diag_flat = _integer_form(diag or ())
-    big_l = max(sum(map(abs, t)) for t in flat)
-    big_ld = max((sum(map(abs, t)) for t in diag_flat), default=1)
-    x = 2 * m**free * big_l**num_edges * big_ld**free + 1
-    values = [_at(t, x) for t in flat]
-    int_diag = None if diag is None else [_at(t, x) for t in diag_flat]
-    return x, c**num_edges * d**free, [values[i * m:(i + 1) * m] for i in range(m)], int_diag
+    bad = next((k for _, _, k in factors if not isinstance(k, int)), None)
+    if bad is not None:
+        raise BadParameter(f"edge multiplicity must be an integer, got {bad!r}")
+    if ring.name == "int":
+        return 0, 1, factors
+    forms, bound, scale = {}, m**free, 1
+    for _, table, mult in factors:
+        if id(table) not in forms:
+            entries = []
+            _map(table, entries.append)
+            c, coeffs = _integer_form(entries)
+            forms[id(table)] = (table, c, coeffs, max(sum(map(abs, t)) for t in coeffs))
+        _, c, _, big_l = forms[id(table)]
+        bound, scale = bound * big_l**mult, scale * c**mult
+    x = 2 * bound + 1
+    lifted = {}
+    for key, (table, _, coeffs, _) in forms.items():
+        values = iter([_at(t, x) for t in coeffs])  # a second walk meets the entries in the first's order
+        lifted[key] = _map(table, lambda _: next(values))
+    return x, scale, [(scope, lifted[id(table)], mult) for scope, table, mult in factors]
 
 
 def _digits(z, x):
@@ -652,15 +654,13 @@ def _digits(z, x):
     return out
 
 
-def _exact_z(layout, num_edges, rows, diag, ring):
-    """Z of a layout filled with rows and diag, as a scalar of ring, from
-    one enumeration over Python ints; for RAT and POLY it sums the _lift of
-    rows and diag, which yields scale * Z(x)."""
-    x = scale = 1
-    if ring.name != "int":
-        x, scale, rows, diag = _lift(rows, diag, num_edges, len(layout[0]))
-    const, levels = _tables(layout, rows, diag)
-    z = const * _enum_sum(levels, len(rows)) if const else 0
+def _exact_z(m, n, factors, ring, pinned):
+    """The sum, over spins 0..m-1 of the variables 0..n-1 outside pinned, of
+    the product of the factors, as a scalar of ring; one enumeration over
+    Python ints, which yields scale * Z(x) for RAT and POLY (see _lift)."""
+    x, scale, factors = _lift(factors, m, n - len(pinned), ring)
+    const, levels = _tables(m, n, factors, pinned)
+    z = const * _enum_sum(levels, m) if const else 0
     if ring.name == "poly":
         return Polynomial(Fraction(v, scale) for v in _digits(z, x))
     return Fraction(z, scale) if ring.name == "rat" else z

@@ -78,11 +78,17 @@ def parse_graph(text: str):
     return g, pin, tuple(labels[i] for i in range(len(labels)))
 
 
-def _graph_from_json_text(text: str):
+def _load_json(text: str):
+    # json.loads also raises a plain ValueError for an integer literal over the
+    # digit limit (4300 by default), and RecursionError for too deep nesting
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad JSON: {exc}") from exc
+
+
+def _graph_from_json_text(text: str):
+    obj = _load_json(text)
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise FormatError("graph JSON needs a 'vertices' field")
     edges = _json_list(obj.get("edges", []), "edges")
@@ -144,11 +150,7 @@ def _ring_of(obj):
 
 
 def parse_matrix(text: str) -> WeightMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from exc
-    return matrix_from_json(obj)
+    return matrix_from_json(_load_json(text))
 
 
 def matrix_from_json(obj) -> WeightMatrix:
@@ -177,10 +179,7 @@ def matrix_to_json(a: WeightMatrix) -> dict:
 
 
 def parse_diagonal(text: str) -> DiagonalWeights:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from exc
+    obj = _load_json(text)
     if not isinstance(obj, dict) or "diag" not in obj:
         raise FormatError("diagonal JSON needs 'ring' and 'diag'")
     ring = _ring_of(obj)

@@ -350,11 +350,9 @@ def tutte_contraction_deletion(g: Multigraph, x, y) -> Fraction:
     return rec(g)
 
 
-def verify_tutte_identity(g: Multigraph, x, y, budget: int | None = None) -> bool:
-    """Check T(G;x,y) = (y-1)^(Q-N) n^(-Q) Z_{A(n,y,1)}(G) with n=(x-1)(y-1).
-
-    Valid whenever n is a positive integer (which already forces y != 1).
-    """
+def _tutte_from_z(g: Multigraph, x, y, budget: int | None = None) -> Fraction:
+    """(y-1)^(Q-N) n^(-Q) Z_{A(n,y,1)}(G) with n = (x-1)(y-1), which must be
+    a positive integer (so y != 1); Q counts the components of G."""
     x = Fraction(x)
     y = Fraction(y)
     n = (x - 1) * (y - 1)
@@ -364,8 +362,13 @@ def verify_tutte_identity(g: Multigraph, x, y, budget: int | None = None) -> boo
     a = constant_diagonal_matrix(n, y, 1)
     z = z_brute(a, g, budget=budget)
     big_q = len(components(g))
-    rhs = (y - 1) ** (big_q - g.n) * Fraction(1, n) ** big_q * z
-    return tutte_eval_brute(g, x, y, budget=budget) == rhs
+    return (y - 1) ** (big_q - g.n) * Fraction(1, n) ** big_q * z
+
+
+def verify_tutte_identity(g: Multigraph, x, y, budget: int | None = None) -> bool:
+    """Check T(G;x,y) = (y-1)^(Q-N) n^(-Q) Z_{A(n,y,1)}(G) with n=(x-1)(y-1),
+    valid whenever n is a positive integer (which already forces y != 1)."""
+    return _tutte_from_z(g, x, y, budget) == tutte_eval_brute(g, x, y, budget=budget)
 
 
 def potts_partition(g: Multigraph, n: int, v, budget: int | None = None) -> Fraction:

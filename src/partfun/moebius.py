@@ -10,11 +10,10 @@ sum_{Q <= P} mu(Q) = 1 when P is all-singletons and 0 otherwise.
 
 from __future__ import annotations
 
-from itertools import permutations
-from math import factorial
+from math import factorial, perm
 
 from .errors import BadParameter, BudgetExceeded, TooLarge
-from .evaluator import WeightMatrix, config_weight, current_budget, z_brute
+from .evaluator import WeightMatrix, _exact_z, current_budget, z_brute
 from .graph import Multigraph, VertexPartition, quotient
 
 # Bell numbers explode; partitions are only ever enumerated up to this size.
@@ -131,15 +130,15 @@ def y_injective(a: WeightMatrix, g: Multigraph, mode: str = "brute", budget: int
     if mode == "brute":
         if budget is None:
             budget = current_budget()
-        count = 1
-        for i in range(g.n):
-            count *= max(a.n - i, 0)
+        count = perm(a.n, g.n)
         if count > budget:
             raise BudgetExceeded(f"{count} injective maps exceed budget {budget}")
-        total = ring.zero
-        for tau in permutations(range(a.n), g.n):
-            total = total + config_weight(a, g, tau)
-        return total
+        if not count:  # more vertices than spins: no map, but many injective prefixes
+            return ring.zero
+        # a 0/1 factor on each vertex pair zeroes every non-injective prefix
+        differ = [[int(i != j) for j in range(a.n)] for i in range(a.n)]
+        pairs = [((u, v), differ, 1) for v in range(g.n) for u in range(v)]
+        return _exact_z(a.n, g.n, [((u, v), a.rows, k) for u, v, k in g.edges] + pairs, ring, {})
     if mode == "inversion":
         if g.n > BELL_GUARD:
             raise TooLarge(f"inversion needs |V| <= {BELL_GUARD}, got {g.n}")

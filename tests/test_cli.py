@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from partfun import cli
 from partfun.cli import run
 
 RANK1 = '{"ring": "int", "entries": [["1", "2"], ["2", "4"]]}'
@@ -268,3 +269,36 @@ def test_graph_json_with_integers_still_evaluates(files, capsys):
     out, err = out_of(capsys)
     assert code == 0 and err == ""
     assert out == '{"value":"4"}'
+
+
+def test_big_integer_literals_exit_2_with_one_error_line(files, capsys):
+    big = "1" + "0" * 5000
+    matrix = files("a.json", INDEP)
+    graph = files("g.txt", P3)
+    cases = [
+        ["eval", "--matrix", matrix, "--graph", files("g.json", '{"vertices": %s}' % big)],
+        ["classify", "--matrix", files("b.json", '{"ring": "int", "entries": [[%s, 1], [1, 1]]}' % big)],
+        ["eval", "--matrix", matrix, "--graph", graph,
+         "--weights", files("d.json", '{"ring": "int", "diag": [%s, 1]}' % big)],
+    ]
+    for argv in cases:
+        code = run(argv)
+        out, err = out_of(capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        payload = json.loads(err)
+        assert payload["error"] == "FormatError" and payload["message"].startswith("bad JSON: "), argv
+
+
+def test_internal_errors_exit_1_without_a_traceback(files, capsys, monkeypatch):
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+    code = run(["classify", "--matrix", files("a.json", INDEP)])
+    out, err = out_of(capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert json.loads(err) == {"error": "InternalError", "message": "ZeroDivisionError: division by zero"}

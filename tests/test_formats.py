@@ -132,3 +132,25 @@ def test_diagonal_must_be_a_list():
     for bad in ('{"ring": "int", "diag": 5}', '{"ring": "int", "diag": "12"}', '{"ring": "int", "diag": {"0": 1}}'):
         with pytest.raises(FormatError):
             parse_diagonal(bad)
+
+
+BIG = "1" + "0" * 5000
+
+
+def test_json_integer_literals_past_the_digit_limit_are_format_errors():
+    # json.loads raises a plain ValueError, not JSONDecodeError, for these
+    cases = [
+        (parse_graph, '{"vertices": %s}' % BIG),
+        (parse_graph, '{"vertices": 2, "edges": [[0, 1, %s]]}' % BIG),
+        (parse_matrix, '{"ring": "int", "entries": [[%s, 1], [1, 1]]}' % BIG),
+        (parse_diagonal, '{"ring": "int", "diag": [1, %s]}' % BIG),
+    ]
+    for parse, text in cases:
+        with pytest.raises(FormatError, match="^bad JSON: "):
+            parse(text)
+
+
+def test_deeply_nested_json_is_a_format_error():
+    for parse in (parse_graph, parse_matrix, parse_diagonal):
+        with pytest.raises(FormatError, match="^bad JSON: "):
+            parse("{" + '"a":[' * 100000)

@@ -1,5 +1,7 @@
-"""The enumeration kernel of z_brute, count_configs and z_directed against
-per-configuration references built from config_weight and direct products.
+"""The enumeration kernel of every brute-force sum (z_brute, count_configs,
+z_directed, z_hypergraph, z_edge_model and y_injective in brute mode) against
+per-configuration references built from config_weight, direct products and
+plain itertools loops.
 
 Instances are small and seeded: every ring, loops, multiplicities, pinnings
 (including all-pinned graphs and edges between pinned vertices), diagonal
@@ -13,9 +15,12 @@ from fractions import Fraction
 
 import pytest
 
+from partfun import evaluator
 from partfun.errors import BadParameter, BudgetExceeded
 from partfun.evaluator import (
     DiagonalWeights,
+    EdgeModel,
+    SymmetricTensor,
     WeightMatrix,
     config_weight,
     count_configs,
@@ -23,8 +28,10 @@ from partfun.evaluator import (
     z_brute,
     z_directed,
     z_edge_model,
+    z_hypergraph,
 )
-from partfun.graph import DirectedGraph, Multigraph, Pinning
+from partfun.graph import DirectedGraph, Hypergraph, Multigraph, Pinning
+from partfun.moebius import y_injective
 from partfun.rings import INT, POLY, RAT, Polynomial
 
 RINGS = (INT, RAT, POLY)
@@ -294,3 +301,118 @@ def test_count_configs_targets_with_other_denominators():
               Fraction(1, 27), x * Fraction(1, 27)):
         assert count_configs(b, g, w) == counts[w], w
     assert count_configs(b, g, 0, pin=Pinning({0: 0, 1: 1})) == 2
+
+
+def _hypergraph_loop(t, h):
+    total = t.ring.zero
+    for sigma in itertools.product(range(t.n), repeat=h.n):
+        w = t.ring.one
+        for he in h.hyperedges:
+            w = w * t.table[tuple(sigma[v] for v in he)]
+        total = total + w
+    return total
+
+
+def _symmetric_tensor(rng, ring, m, arity):
+    values = {}
+    table = {}
+    for idx in itertools.product(range(m), repeat=arity):
+        key = tuple(sorted(idx))
+        if key not in values:
+            values[key] = _scalar(rng, ring)
+        table[idx] = values[key]
+    return SymmetricTensor(ring, m, arity, table)
+
+
+def test_z_hypergraph_equals_the_product_loop():
+    rng = random.Random(3301)
+    for _ in range(150):
+        ring = rng.choice(RINGS)
+        arity = rng.choice((2, 3))
+        m = rng.randint(1, 3)
+        n = rng.randint(0, 5)
+        possible = list(itertools.combinations(range(n), arity))
+        h = Hypergraph(n, arity, rng.sample(possible, rng.randint(0, min(len(possible), 5))))
+        t = _symmetric_tensor(rng, ring, m, arity)
+        got = z_hypergraph(t, h)
+        assert got == _hypergraph_loop(t, h), (t.table, h)
+        assert type(got) is TYPES[ring.name]
+
+
+def _edge_model_loop(f, g):
+    occurrences = list(g.edge_occurrences())
+    incident = [[] for _ in range(g.n)]
+    for idx, (u, v) in enumerate(occurrences):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    total = f.ring.zero
+    for tau in itertools.product(range(f.n), repeat=len(occurrences)):
+        w = f.ring.one
+        for v in range(g.n):
+            counts = [0] * f.n
+            for idx in incident[v]:
+                counts[tau[idx]] += 1
+            w = w * f.table[tuple(counts)]
+        total = total + w
+    return total
+
+
+def test_z_edge_model_equals_the_coloring_loop():
+    # random tables; graphs with loops, multi-edges and isolated vertices
+    rng = random.Random(4402)
+    for _ in range(150):
+        ring = rng.choice(RINGS)
+        colors = rng.randint(1, 3)
+        n = rng.randint(0, 5)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 2)) for _ in range(rng.randint(0, 4))] if n else []
+        g = Multigraph(n, edges)
+        if g.num_edges() > 6:
+            continue
+        f = EdgeModel(ring, colors, max(g.degrees(), default=0) + rng.randint(0, 1), lambda _: _scalar(rng, ring))
+        got = z_edge_model(f, g)
+        assert got == _edge_model_loop(f, g), (f.table, g)
+        assert type(got) is TYPES[ring.name]
+
+
+def test_z_edge_model_loops_count_twice():
+    # one vertex with one loop: the loop's color is counted twice
+    f = EdgeModel(INT, 2, 2, lambda comp: {(2, 0): 3, (0, 2): 5}.get(comp, 7))
+    assert z_edge_model(f, Multigraph(1, [(0, 0)])) == 8
+    # an isolated vertex contributes F(0, 0)
+    assert z_edge_model(f, Multigraph(2, [(0, 0)])) == 56
+
+
+def _injective_loop(a, g):
+    total = a.ring.zero
+    for tau in itertools.permutations(range(a.n), g.n):
+        total = total + config_weight(a, g, tau)
+    return total
+
+
+def test_y_injective_brute_equals_the_permutation_sum():
+    # more vertices than spins and the empty graph included
+    for rng, ring, a, g in _instances(5503, 300):
+        got = y_injective(a, g, mode="brute")
+        assert got == _injective_loop(a, g), (a, g)
+        assert type(got) is TYPES[ring.name]
+    for ring in RINGS:
+        a = _symmetric(random.Random(1), ring, 3)
+        assert y_injective(a, Multigraph(0)) == ring.one
+        assert y_injective(a, Multigraph(4, [(0, 1)])) == ring.zero
+    # with more vertices than spins no injective prefix is walked
+    assert y_injective(WeightMatrix(INT, [[1] * 9] * 9), Multigraph(10)) == 0
+
+
+def test_int_sums_are_never_lifted(monkeypatch):
+    def fail(values):
+        raise AssertionError("INT scalars were lifted")
+
+    monkeypatch.setattr(evaluator, "_integer_form", fail)
+    a = WeightMatrix(INT, [[1, 2], [2, 3]])
+    tri = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+    assert count_configs(a, tri, 4) == 3
+    assert z_brute(a, tri, weights=DiagonalWeights(INT, [1, 2])) == 1 + 3 * 4 * 2 + 3 * 12 * 4 + 27 * 8
+    assert z_directed(a, DirectedGraph(2, [(1, 0)])) == 8
+    assert y_injective(a, Multigraph(2, [(0, 1)])) == 4
+    assert z_hypergraph(SymmetricTensor.from_matrix(a), Hypergraph(2, 2, [(0, 1)])) == 8
+    assert z_edge_model(perfect_matching_model(2), tri) == 0
