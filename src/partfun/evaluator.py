@@ -27,8 +27,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from functools import reduce
-from operator import getitem, mul
+from operator import mul
 
 from .errors import (
     ArityMismatch,
@@ -355,21 +354,24 @@ def z_edge_model(f: EdgeModel, g: Multigraph, budget: int | None = None):
     _check_budget(f.n, g.num_edges(), budget, "edge colorings")
     if g.n and max(g.degrees(), default=0) > f.max_degree:
         raise BadParameter("edge-model table does not cover the maximum degree")
-    incident = [[] for _ in range(g.n)]
+    incident = [{} for _ in range(g.n)]
     for idx, (u, v) in enumerate(g.edge_occurrences()):
-        incident[u].append(idx)
-        incident[v].append(idx)  # loops are incident twice
+        incident[u][idx] = 1
+        incident[v][idx] = 1 + (u == v)  # a loop counts twice
     tables = {}
-
-    def colors(depth, counts):
-        # entry [c_1]..[c_depth] is F at counts plus one for each c_i; it
-        # depends on (depth, counts) only, so equal subtables are shared
-        if (depth, counts) not in tables:
-            tables[depth, counts] = f.table[counts] if not depth else [
-                colors(depth - 1, counts[:c] + (counts[c] + 1,) + counts[c + 1:]) for c in range(f.n)]
-        return tables[depth, counts]
-
-    factors = [(tuple(inc), colors(len(inc), (0,) * f.n), 1) for inc in incident]
+    for inc in incident:
+        reps = tuple(inc.values())
+        if reps not in tables:
+            # entry [c_1]..[c_d] is F at the counts with reps[i] added to color c_i; built bottom
+            # up over reach[i], the counts after i variables, so equal subtables are shared
+            reach = [{(0,) * f.n}]
+            for r in reps:
+                reach.append({t[:c] + (t[c] + r,) + t[c + 1:] for t in reach[-1] for c in range(f.n)})
+            below = {t: f.table[t] for t in reach.pop()}
+            for r in reversed(reps):
+                below = {t: [below[t[:c] + (t[c] + r,) + t[c + 1:]] for c in range(f.n)] for t in reach.pop()}
+            tables[reps] = below[(0,) * f.n]
+    factors = [(tuple(inc), tables[tuple(inc.values())], 1) for inc in incident]
     return _exact_z(f.n, g.num_edges(), factors, f.ring, {})
 
 
@@ -423,23 +425,20 @@ def count_configs(a: WeightMatrix, g: Multigraph, w, pin: Pinning | None = None,
 # memoisation: every configuration is covered, and the cost stays m**free.
 
 
-def _map(table, fn, memo=None):
-    """fn of every entry of a nested table; a subtable shared above the last axis maps once."""
+def _map(table, fn):
+    """fn of every entry of a nested table, one layer of subtables at a time (no
+    recursion), in the same order on every walk; a subtable met twice (shared
+    in a DAG) maps once, so the sharing survives."""
     if not isinstance(table, (list, tuple)):
         return fn(table)
-    if not isinstance(table[0], (list, tuple)):
-        return list(map(fn, table))
-    memo = {} if memo is None else memo
-    if id(table) not in memo:
-        memo[id(table)] = [_map(t, fn, memo) for t in table]
-    return memo[id(table)]
-
-
-def _times(t, u):
-    """Entrywise product of two nested tables of one shape."""
-    if isinstance(t[0], (list, tuple)):
-        return [_times(a, b) for a, b in zip(t, u)]
-    return list(map(mul, t, u))
+    layers, node = [{id(table): table}], table
+    while isinstance(node[0], (list, tuple)):
+        node = node[0]
+        layers.append({id(t): t for sub in layers[-1].values() for t in sub})
+    out = {key: list(map(fn, sub)) for key, sub in layers.pop().items()}
+    for layer in reversed(layers):
+        out = {key: [out[id(t)] for t in sub] for key, sub in layer.items()}
+    return out[id(table)]
 
 
 def _restrict(table, mult, pins, reps, m):
@@ -447,62 +446,56 @@ def _restrict(table, mult, pins, reps, m):
     spans the next reps[i] axes, so a repeated variable (a loop) reads the diagonal."""
     for s in pins:
         table = table[s]
-    if not reps:
-        return table**mult
-    if mult == 1 and max(reps) == 1:
-        return table
-    if len(reps) == 1:
-        return [reduce(getitem, (s,) * reps[0], table) ** mult for s in range(m)]
-    return [_restrict(table, mult, (s,) * reps[0], reps[1:], m) for s in range(m)]
+    root = [table]
+    tops = [root]  # new lists, one layer at a time, whose entries still span further axes
+    for r in reps:
+        below = []
+        for top in tops:
+            for k, row in enumerate(top):
+                row = list(row)
+                for _ in range(1, r):
+                    row = [t[s] for s, t in enumerate(row)]
+                top[k] = row
+                below.append(row)
+        tops = below
+    if mult != 1:
+        for top in tops:
+            top[:] = [v**mult for v in top]
+    return root[0]
 
 
 def _tables(m, n, factors, pinned):
     """Hang integer factors on the levels of an enumeration of n variables.
 
     Returns (const, levels): const is the product of the factors over
-    pinned variables only, and levels[i] = (vec, pairs, wider) for the i-th
-    free variable.  vec[s] is the factor of level i alone at spin s, None
-    when there is none but a shared one; pairs lists (j, table), wider
-    (js, table), table[s_j]..[s_i] being the factor shared with level(s) js.
+    pinned variables only, and levels[i] lists (js, table) for the i-th free
+    variable, table[s_j]..[s_i] being one factor over the levels js and i
+    (js empty for a factor of level i alone).
     """
     free = [v for v in range(n) if v not in pinned]
-    level = {v: i for i, v in enumerate(free)} if pinned else None
-    groups = [{} for _ in free]
-    cache, const = {}, 1
+    level = dict(zip(free, range(n)))
+    levels = [[] for _ in free]
+    const = 1
     for scope, table, mult in factors:
-        lv = tuple(map(level.get, scope)) if pinned else scope  # level v is v when nothing is pinned
+        lv = [*map(level.get, scope)]
+        order = sorted(set(lv) - {None})
         # tables are symmetric: pinned variables are read first, free ones in
         # level order.  A power, a pin or a repeated variable needs a table of
-        # its own; any other factor (binary ones checked directly) reads it as is
-        if mult != 1 or pinned and None in lv or not (
-                lv[0] < lv[1] if len(lv) == 2 else all(map(int.__lt__, lv, lv[1:]))):
-            order = sorted(set(lv) - {None})
-            pins = tuple(sorted([pinned[v] for v in scope if v in pinned])) if pinned else ()
-            key = (id(table), mult, pins, tuple(map(lv.count, order)))
-            if key not in cache:
-                cache[key] = _restrict(table, mult, pins, key[3], m)
-            table, lv = cache[key], tuple(order)
+        # its own; any other factor reads it as is
+        if mult != 1 or lv != order:
+            pins = sorted([pinned[v] for v in scope if v in pinned])
+            table, lv = _restrict(table, mult, pins, map(lv.count, order), m), order
         if not lv:
             const *= table
             continue
-        js, group = lv[:-1], groups[lv[-1]]
-        group[js] = _times(group[js], table) if js in group else table
-    levels = []
-    for group in groups:
-        vec = group.pop((), None)
-        pairs = [(js[0], t) for js, t in group.items() if len(js) == 1]
-        wider = [(js, t) for js, t in group.items() if len(js) > 1] if len(pairs) < len(group) else ()
-        levels.append(([1] * m if vec is None and not group else vec, pairs, wider))
-    return const, levels
+        levels[lv[-1]].append((lv[:-1], table))
+    return const, [level or [((), [1] * m)] for level in levels]
 
 
 def _level_factors(level, sigma):
     """The factor of each spin at one level, given the spins above it."""
-    vec, pairs, wider = level
-    for j, row in pairs:
-        row = row[sigma[j]]
-        vec = row if vec is None else list(map(mul, vec, row))
-    for js, row in wider:
+    vec = None
+    for js, row in level:
         for j in js:
             row = row[sigma[j]]
         vec = row if vec is None else list(map(mul, vec, row))

@@ -135,10 +135,14 @@ def y_injective(a: WeightMatrix, g: Multigraph, mode: str = "brute", budget: int
             raise BudgetExceeded(f"{count} injective maps exceed budget {budget}")
         if not count:  # more vertices than spins: no map, but many injective prefixes
             return ring.zero
-        # a 0/1 factor on each vertex pair zeroes every non-injective prefix
+        # a 0/1 factor on each vertex pair zeroes every non-injective prefix;
+        # on an edge, the edge's table with its diagonal zeroed does that
         differ = [[int(i != j) for j in range(a.n)] for i in range(a.n)]
-        pairs = [((u, v), differ, 1) for v in range(g.n) for u in range(v)]
-        return _exact_z(a.n, g.n, [((u, v), a.rows, k) for u, v, k in g.edges] + pairs, ring, {})
+        apart = [[v if i != j else ring.zero for j, v in enumerate(row)] for i, row in enumerate(a.rows)]
+        mult = {(u, v): k for u, v, k in g.edges}
+        pairs = [((u, v), apart, mult.pop((u, v))) if (u, v) in mult else ((u, v), differ, 1)
+                 for v in range(g.n) for u in range(v)]
+        return _exact_z(a.n, g.n, pairs + [((u, u), a.rows, k) for (u, _), k in mult.items()], ring, {})
     if mode == "inversion":
         if g.n > BELL_GUARD:
             raise TooLarge(f"inversion needs |V| <= {BELL_GUARD}, got {g.n}")

@@ -416,3 +416,27 @@ def test_int_sums_are_never_lifted(monkeypatch):
     assert y_injective(a, Multigraph(2, [(0, 1)])) == 4
     assert z_hypergraph(SymmetricTensor.from_matrix(a), Hypergraph(2, 2, [(0, 1)])) == 8
     assert z_edge_model(perfect_matching_model(2), tri) == 0
+
+
+def test_deep_factor_tables_need_no_recursion():
+    # one color or one spin leaves one configuration, however many axes the tables have
+    f = EdgeModel(INT, 1, 2000, lambda comp: comp[0] + 1)
+    assert z_edge_model(f, Multigraph(2, [(0, 1, 2000)])) == 2001**2
+    assert z_edge_model(f, Multigraph(1, [(0, 0, 1000)])) == 2001
+    for ring, value in ((RAT, Fraction(3, 2)), (POLY, Polynomial((Fraction(1, 2), 3)))):
+        t = SymmetricTensor(ring, 1, 2000, {(0,) * 2000: value})
+        assert z_hypergraph(t, Hypergraph(2000, 2000, [range(2000)])) == value
+
+
+def test_edge_model_vertex_tables_are_built_with_their_loops(monkeypatch):
+    # a loop's variable adds 2 to its color count inside the vertex table, so
+    # no table is re-read on its diagonal
+    def fail(*args):
+        raise AssertionError("an edge-model table was restricted")
+
+    monkeypatch.setattr(evaluator, "_restrict", fail)
+    rng = random.Random(6604)
+    for ring in RINGS:
+        g = Multigraph(3, [(0, 1), (0, 0, 2), (1, 2), (2, 2)])
+        f = EdgeModel(ring, 2, max(g.degrees()), lambda _: _scalar(rng, ring))
+        assert z_edge_model(f, g) == _edge_model_loop(f, g)
