@@ -1,9 +1,13 @@
 """Connection matrices: gluings of k-labeled graphs evaluated by a graph
 parameter, with exact positive-semidefiniteness and rank checks.
 
-Partition functions produce PSD connection matrices of rank at most n^k at
-arity k; a graph parameter that is not a partition function can fail PSD,
-and the witness finder locates a small principal submatrix showing it.
+For a partition function, Z(F o G) is the sum over maps phi from the k
+labels to spins of Z(F|phi) Z(G|phi) (labels pinned to phi), so its
+connection matrix is the Gram product V V^T of the n^k-column matrix V of
+pinned values: PSD, of rank rank(V) <= n^k.  Other graph parameters are
+evaluated on glued graphs; they can fail PSD, and the witness finder
+locates a small principal submatrix showing it.
+
 Bases here are finite, explicitly enumerated windows into the (infinite)
 space of k-labeled graphs; repeating isomorphic graphs is harmless for both
 checks, so no isomorphism testing is done.
@@ -11,12 +15,14 @@ checks, so no isomorphism testing is done.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from operator import mul
 
 from .errors import LabelMismatch, NotSymmetric, RingUnsupported, TooLarge
-from .evaluator import WeightMatrix, z_brute
-from .graph import LabeledGraph, Multigraph, glue
+from .evaluator import WeightMatrix, _check_budget, current_budget, z_brute
+from .graph import LabeledGraph, Multigraph, Pinning, glue
 from .rings import INT, POLY, RAT, exact_rank
 
 
@@ -97,27 +103,44 @@ def connection_matrix_for(f, basis: GraphBasis) -> ConnectionMatrix:
     return ConnectionMatrix(basis, entries)
 
 
-def connection_matrix(a: WeightMatrix, basis: GraphBasis, budget=None) -> ConnectionMatrix:
-    """Connection matrix of the partition function of a, entries by z_brute."""
+def _gram(a: WeightMatrix, basis: GraphBasis, budget):
+    """(V V^T, V) with V[F][phi] = Z_a(F, label i pinned to phi[i]) over
+    phi in range(n)^k; n^k maps times n^(|V(F)| - k) free spins per row,
+    so the budget is checked once on n^(largest |V(F)|)."""
     if a.ring is POLY:
         raise RingUnsupported("polynomial-valued connection matrices have no PSD order")
     a.require_symmetric()
-    return connection_matrix_for(lambda g: z_brute(a, g, budget=budget), basis)
+    budget = current_budget() if budget is None else budget
+    _check_budget(a.n, max((lg.graph.n for lg in basis), default=0), budget)
+    maps = list(product(range(a.n), repeat=basis.k))
+    values = [[z_brute(a, lg.graph, pin=Pinning(dict(zip(lg.labels, phi))), budget=budget) for phi in maps]
+              for lg in basis.graphs]
+    return ConnectionMatrix(basis, [[sum(map(mul, u, v)) for v in values] for u in values]), values
+
+
+def connection_matrix(a: WeightMatrix, basis: GraphBasis, budget=None) -> ConnectionMatrix:
+    """Connection matrix of the partition function of a: entry (F, G) is
+    Z_a(F o G), computed as a dot product of pinned values."""
+    return _gram(a, basis, budget)[0]
 
 
 def is_psd(rows) -> bool:
-    """Exact PSD test by pivoted Schur elimination over the rationals.
+    """Exact PSD test by pivoted symmetric elimination on integers.
 
-    PSD iff no step exposes a negative diagonal and every zero-diagonal
-    residue is the zero matrix.
+    Denominators are cleared once (a positive scale keeps PSD); the Bareiss
+    step w[i][j] = (p w[i][j] - w[i][p] w[p][j]) / prev divides exactly by
+    the previous pivot (Sylvester's identity), and keeps each entry a
+    positive multiple of the rational Schur complement's.  PSD iff no step
+    exposes a negative diagonal and every zero-diagonal residue is zero.
     """
     size = len(rows)
-    work = [[Fraction(rows[i][j]) for j in range(size)] for i in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if work[i][j] != work[j][i]:
-                raise NotSymmetric("PSD test needs a symmetric matrix")
+    rows = [[v if isinstance(v, int) else Fraction(v) for v in row] for row in rows]
+    if any(rows[i][j] != rows[j][i] for i in range(size) for j in range(i)):
+        raise NotSymmetric("PSD test needs a symmetric matrix")
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    work = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     live = list(range(size))
+    prev = 1
     while live:
         if any(work[i][i] < 0 for i in live):
             return False
@@ -128,8 +151,10 @@ def is_psd(rows) -> bool:
         p = work[pivot][pivot]
         live.remove(pivot)
         for i in live:
+            row, f = work[i], work[i][pivot]
             for j in live:
-                work[i][j] -= work[i][pivot] * work[pivot][j] / p
+                row[j] = (p * row[j] - f * work[pivot][j]) // prev
+        prev = p
     return True
 
 
@@ -144,8 +169,10 @@ def non_psd_witness(m: ConnectionMatrix):
     """Smallest principal submatrix of m that is not PSD, or None.
 
     Returns (basis indices, submatrix rows) searching sizes 1, 2, ... so the
-    witness is as small as the matrix allows.
+    witness is as small as the matrix allows; a PSD matrix has none.
     """
+    if is_psd(m.entries):
+        return None
     size = m.size
     for r in range(1, size + 1):
         for idx in combinations(range(size), r):
@@ -157,9 +184,9 @@ def non_psd_witness(m: ConnectionMatrix):
 
 def connection_report(a: WeightMatrix, basis: GraphBasis, budget=None) -> dict:
     """JSON-ready summary: basis, entries, PSD flag, rank and the rank bound."""
-    m = connection_matrix(a, basis, budget=budget)
+    m, values = _gram(a, basis, budget)
     ring = a.ring if a.ring is RAT else INT
-    rank = exact_rank(m.entries) if m.entries else 0
+    rank = exact_rank(values)
     return {
         "arity": basis.k,
         "basis": [
@@ -167,7 +194,7 @@ def connection_report(a: WeightMatrix, basis: GraphBasis, budget=None) -> dict:
             for lg in basis.graphs
         ],
         "entries": [[ring.to_json(v) for v in row] for row in m.entries],
-        "psd": is_psd(m.entries) if m.entries else True,
+        "psd": is_psd(m.entries),
         "rank": rank,
         "bound": a.n**basis.k,
         "rank-bound-holds": rank <= a.n**basis.k,

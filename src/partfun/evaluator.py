@@ -75,7 +75,7 @@ def _check_budget(m: int, k: int, budget: int | None, what: str = "configuration
 class WeightMatrix:
     """Square matrix of scalars over one ring; symmetric for undirected use."""
 
-    __slots__ = ("ring", "n", "rows")
+    __slots__ = ("ring", "n", "rows", "symmetric")
 
     def __init__(self, ring: Ring, rows):
         rows = tuple(tuple(ring.coerce(v) for v in row) for row in rows)
@@ -85,6 +85,7 @@ class WeightMatrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "symmetric", all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightMatrix is immutable")
@@ -106,10 +107,10 @@ class WeightMatrix:
         return f"WeightMatrix({self.ring.name}, {[list(r) for r in self.rows]})"
 
     def is_symmetric(self) -> bool:
-        return all(self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i))
+        return self.symmetric
 
     def require_symmetric(self):
-        if not self.is_symmetric():
+        if not self.symmetric:
             raise NotSymmetric("this operation needs a symmetric weight matrix")
 
     def is_nonneg(self) -> bool:

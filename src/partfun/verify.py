@@ -318,7 +318,9 @@ def suite_connection(max_vertices: int = 4):
             cap = 2 if k == 0 else min(max(max_vertices, 2), 3)
             basis = enumerate_klabeled(k, cap, 2)
             for a in matrices:
-                m = connection_matrix(a, basis)
+                m = connection_matrix_for(lambda g: z_brute(a, g), basis)
+                if m.entries != connection_matrix(a, basis).entries:
+                    return f"{a!r}, k={k}: Gram product is not the glued matrix"
                 if not is_psd(m.entries):
                     return f"{a!r}, k={k}: not PSD"
                 if not rank_bound_check(m, a.n, k):

@@ -302,3 +302,35 @@ def test_internal_errors_exit_1_without_a_traceback(files, capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1, err
     assert json.loads(err) == {"error": "InternalError", "message": "ZeroDivisionError: division by zero"}
+
+
+THREE_COLORINGS = '{"ring": "int", "entries": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]}'
+
+
+def test_connection_budget_counts_basis_graphs_not_glued_pairs(files, capsys):
+    # basis graphs have at most 2 vertices: 3^2 configurations per pinned
+    # evaluation, although a glued pair would have 4 vertices (3^4 = 81)
+    matrix = files("a.json", THREE_COLORINGS)
+    argv = ["connection", "--matrix", matrix, "--k", "0", "--max-vertices", "2", "--max-edges", "2"]
+    assert run(argv + ["--budget", "9"]) == 0
+    out, err = out_of(capsys)
+    assert err == ""
+    assert json.loads(out)["psd"] is True
+    assert run(argv + ["--budget", "8"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err) == {"error": "BudgetExceeded",
+                               "message": "3^2 configurations exceed the budget 8"}
+
+
+def test_connection_budget_covers_the_label_maps(files, capsys):
+    # k = 6 labels and no free vertex: 30^6 label maps, refused before any
+    # evaluation under the default budget
+    ones = json.dumps({"ring": "int", "entries": [["1"] * 30 for _ in range(30)]})
+    code = run(["connection", "--matrix", files("a.json", ones), "--k", "6",
+                "--max-vertices", "6", "--max-edges", "0"])
+    out, err = out_of(capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "BudgetExceeded",
+                               "message": "30^6 configurations exceed the budget 100000000"}

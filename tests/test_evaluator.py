@@ -46,6 +46,28 @@ def test_matrix_validation():
         asym.require_symmetric()
 
 
+def test_symmetry_is_decided_once_per_matrix():
+    sym = WeightMatrix(RAT, [[1, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    asym = WeightMatrix(INT, [[0, 1], [2, 0]])
+    assert sym.symmetric and not asym.symmetric
+    # the flag is read, not recomputed: z_brute never compares entries
+    calls = []
+
+    class Spy(int):
+        def __eq__(self, other):
+            calls.append(other)
+            return int(self) == other
+
+        __hash__ = int.__hash__
+
+    spied = WeightMatrix(INT, [[1, Spy(2)], [Spy(2), 0]])
+    calls.clear()
+    assert z_brute(spied, Multigraph(2, [(0, 1)])) == 5
+    assert spied.is_symmetric() and calls == []
+    with pytest.raises(NotSymmetric):
+        z_brute(asym, Multigraph(1))
+
+
 def test_matrix_helpers():
     a = WeightMatrix(INT, [[1, 2], [3, 4]])
     assert a.transpose().rows == ((1, 3), (2, 4))
