@@ -110,8 +110,10 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            # the square after the last bit would be the largest product, unused
+            if k:
+                base = base * base
         return result
 
     def eval(self, a) -> Fraction:
@@ -297,15 +299,18 @@ def vandermonde_solve(xs, bs):
 
 
 def _exact_div(a, b):
-    if isinstance(a, Polynomial) or isinstance(b, Polynomial):
-        pa = a if isinstance(a, Polynomial) else Polynomial((a,))
-        pb = b if isinstance(b, Polynomial) else Polynomial((b,))
-        q, r = pa.divmod(pb)
-        if r:
-            raise ArithmeticError("inexact polynomial division in elimination")
-        return q
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
+    # two ints skip the ABC instance checks: exact_rank on integer matrices
+    # makes most of the calls
+    if type(a) is not int or type(b) is not int:
+        if isinstance(a, Polynomial) or isinstance(b, Polynomial):
+            pa = a if isinstance(a, Polynomial) else Polynomial((a,))
+            pb = b if isinstance(b, Polynomial) else Polynomial((b,))
+            q, r = pa.divmod(pb)
+            if r:
+                raise ArithmeticError("inexact polynomial division in elimination")
+            return q
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            return Fraction(a) / Fraction(b)
     q, r = divmod(a, b)
     if r:
         raise ArithmeticError("inexact integer division in elimination")

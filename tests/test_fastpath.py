@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from partfun.errors import NegativeEntries, NotTractable
@@ -149,3 +151,15 @@ def test_fast_equals_brute_on_corpus_sample():
         cls = classify(a)
         for g in graphs:
             assert z_fast(a, g, cls) == z_brute(a, g), (a, g)
+
+
+def test_z_fast_on_a_long_rational_path_matches_the_closed_form():
+    # entries v_i v_j / s; the two ends have degree 1 and the rest degree 2
+    n = 30_000
+    v = (Fraction(1, 2), -1, Fraction(3, 2))
+    s = Fraction(2, 3)
+    a = WeightMatrix(RAT, [[vi * vj / s for vj in v] for vi in v])
+    g = Multigraph(n, [(i, i + 1) for i in range(n - 1)])
+    s1 = sum(v)
+    s2 = sum(vi * vi for vi in v)
+    assert z_fast(a, g) == s1**2 * s2 ** (n - 2) / s ** (n - 1)

@@ -69,6 +69,38 @@ def test_negative_power_rejected():
         X ** (-1)
 
 
+def test_polynomial_power_is_the_repeated_product_by_square_and_multiply(monkeypatch):
+    bases = (
+        Polynomial((Fraction(1, 2), Fraction(-3, 4), 2)),
+        Polynomial((0, Fraction(5, 3))),
+        Polynomial((Fraction(-7, 2),)),
+        Polynomial(),
+    )
+    products = []
+    for p in bases:
+        acc = Polynomial((1,))
+        for _ in range(41):
+            products.append((p, acc))
+            acc = acc * p
+    calls = [0]
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    for i, (p, expected) in enumerate(products):
+        k = i % 41
+        calls[0] = 0
+        assert p**k == expected
+        # one product per set bit, one square per bit after the first
+        assert calls[0] == (bin(k).count("1") + k.bit_length() - 1 if k else 0)
+    for bad in (-1, 2.0, Fraction(2)):
+        with pytest.raises(BadParameter):
+            X**bad
+
+
 def test_coercion_promotes_upward_only():
     assert INT.coerce(7) == 7
     assert RAT.coerce(7) == Fraction(7)
