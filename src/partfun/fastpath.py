@@ -300,9 +300,8 @@ def z_fast(a: WeightMatrix, g: Multigraph, classification: Classification | None
         raise NotTractable("z_fast needs a matrix whose blocks all have rank <= 1")
     dec = classification.decomposition
     ring = a.ring
-    pairs = list(zip(dec.comps, classification.factors))
     # power sums by degree, one dict per factor vector, shared by all components
-    sums = [({}, {}) for _ in pairs]
+    per_block = [(comp, factor, ({}, {})) for comp, factor in zip(dec.comps, classification.factors)]
     any_bipartite = any(comp.kind == "bipartite" for comp in dec.comps)
     total = ring.one
     for _, gi in components(g):
@@ -315,7 +314,7 @@ def z_fast(a: WeightMatrix, g: Multigraph, classification: Classification | None
             if bip is not None:
                 sides = tuple(_histogram([deg[v] for v in side]) for side in bip)
         part = ring.zero
-        for (comp, factor), block_sums in zip(pairs, sums):
-            part = part + _component_value(ring, comp, factor, block_sums, edges, hist, sides)
+        for comp, factor, sums in per_block:
+            part = part + _component_value(ring, comp, factor, sums, edges, hist, sides)
         total = total * part
     return total
