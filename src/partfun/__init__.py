@@ -24,6 +24,7 @@ from .errors import (
     DuplicateNode,
     FactorizationFailure,
     FormatError,
+    InputError,
     LabelMismatch,
     NegativeEntries,
     NotPowerMatrix,
@@ -91,6 +92,7 @@ from .graph import (
 )
 from .models import (
     INVARIANT_KINDS,
+    INVARIANTS,
     MODEL_NAMES,
     NamedModel,
     constant_diagonal_matrix,

@@ -6,8 +6,10 @@ against its independent combinatorial oracle, `connection` reports a
 connection matrix with its PSD/rank facts, and `verify` runs the identity
 suites.  Output is a single JSON object on stdout; errors go to stderr as
 ``{"error": <type>, "message": <text>}``.  Exit status: 0 on success, 1 when
-a computation or verification fails, 2 on bad input; any other exception is
-reported as an ``InternalError`` with status 1.
+a verification fails, otherwise the error's own ``exit_code``: 2 for every
+``InputError`` (bad input), 1 for any other ``PartfunError`` (a computation
+that could not finish, e.g. over budget).  Any other exception is reported
+as an ``InternalError`` with status 1.
 """
 
 from __future__ import annotations
@@ -18,62 +20,13 @@ import sys
 from fractions import Fraction
 
 from .connection import MAX_BASIS_EDGES, MAX_BASIS_VERTICES, connection_report, enumerate_klabeled
-from .errors import (
-    BadParameter,
-    FormatError,
-    PartfunError,
-)
+from .errors import BadParameter, FormatError, PartfunError
 from .evaluator import z_brute
 from .fastpath import classify, z_fast
 from .formats import parse_diagonal, parse_graph, parse_matrix
-from .models import (
-    NamedModel,
-    _tutte_from_z,
-    even_induced_subgraphs,
-    independent_sets,
-    ising_polynomial,
-    matrix_of,
-    nowhere_zero_flows,
-    ordered_max_cuts,
-    potts_partition,
-    proper_colorings,
-    tutte_eval_brute,
-)
+from .models import INVARIANTS
 from .rings import RAT
 from .verify import SUITE_NAMES, run_suite
-
-INVARIANT_NAMES = (
-    "independent-sets",
-    "proper-colorings",
-    "even-induced-subgraphs",
-    "nowhere-zero-flows",
-    "ordered-max-cuts",
-    "potts",
-    "ising",
-    "tutte",
-)
-
-# input problems exit 2; anything that fails during a legitimate computation
-# (budget blown, no tractable certificate, oracle inconsistency) exits 1
-_INPUT_ERRORS = (
-    "FormatError",
-    "BadParameter",
-    "DuplicateNode",
-    "BadPartition",
-    "LabelMismatch",
-    "DimensionMismatch",
-    "PinningConflict",
-    "AsymmetricTensor",
-    "ArityMismatch",
-    "NotSymmetric",
-    "NegativeEntries",
-    "ParallelEdges",
-    "TooLarge",
-    "RingUnsupported",
-    "NotSimple",
-    "UnsupportedModulus",
-    "NotPowerMatrix",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="weight matrix file")
 
     p = sub.add_parser("invariant", help="model value vs combinatorial oracle")
-    p.add_argument("--name", required=True, choices=INVARIANT_NAMES)
+    p.add_argument("--name", required=True, choices=tuple(INVARIANTS))
     p.add_argument("--graph", required=True, help="graph file")
     p.add_argument("--k", type=int, help="color / flow group size")
     p.add_argument("--n", type=int, help="number of spins (potts)")
@@ -132,23 +85,18 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _rational(text: str, flag: str) -> Fraction:
-    if text is None:
-        raise BadParameter(f"missing {flag}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParameter(f"{flag} must be a rational, got {text!r}") from exc
-
-
-def _require_int(value, flag: str) -> int:
+def _param(args, name: str):
+    """Invariant parameter `name`: an int as argparse read it, else a rational."""
+    flag = f"--{name}"
+    value = getattr(args, name)
     if value is None:
         raise BadParameter(f"missing {flag}")
-    return value
-
-
-def _agreement(z_json, oracle_json, agree: bool) -> dict:
-    return {"z": z_json, "oracle": oracle_json, "agree": bool(agree)}
+    if isinstance(value, int):
+        return value
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParameter(f"{flag} must be a rational, got {value!r}") from exc
 
 
 def _cmd_eval(args):
@@ -176,66 +124,18 @@ def _cmd_invariant(args):
     g, pin, _ = parse_graph(_read(args.graph))
     if pin:
         raise BadParameter("invariant comparisons take unpinned graphs")
-    name = args.name
-    budget = args.budget
-
-    if name == "independent-sets":
-        a, _d = matrix_of(NamedModel("indep-set"))
-        z = z_brute(a, g, budget=budget)
-        oracle = independent_sets(g)
-        return _agreement(str(z), str(oracle), z == oracle), 0
-
-    if name == "proper-colorings":
-        k = _require_int(args.k, "--k")
-        a, _d = matrix_of(NamedModel("coloring", k=k))
-        z = z_brute(a, g, budget=budget)
-        oracle = proper_colorings(g, k)
-        return _agreement(str(z), str(oracle), z == oracle), 0
-
-    if name == "even-induced-subgraphs":
-        a, _d = matrix_of(NamedModel("even-subgraph"))
-        z = Fraction(z_brute(a, g, budget=budget), 2) + Fraction(2) ** (g.n - 1)
-        oracle = even_induced_subgraphs(g)
-        return _agreement(RAT.to_json(z), str(oracle), z == oracle), 0
-
-    if name == "nowhere-zero-flows":
-        k = _require_int(args.k, "--k")
-        a, _d = matrix_of(NamedModel("flow", k=k))
-        z = Fraction(1, k) ** g.n * z_brute(a, g, budget=budget)
-        oracle = nowhere_zero_flows(g, k)
-        return _agreement(RAT.to_json(z), str(oracle), z == oracle), 0
-
-    if name == "ordered-max-cuts":
-        a, _d = matrix_of(NamedModel("max-cut"))
-        zp = z_brute(a, g, budget=budget)
-        weight, count = ordered_max_cuts(g)
-        z_json = {"degree": zp.degree, "leading": RAT.to_json(zp.leading())}
-        oracle_json = {"weight": weight, "count": str(count)}
-        agree = zp.degree == weight and zp.leading() == count
-        return _agreement(z_json, oracle_json, agree), 0
-
-    if name == "potts":
-        n = _require_int(args.n, "--n")
-        v = _rational(args.v, "--v")
-        a, _d = matrix_of(NamedModel("potts", n=n, v=v))
-        z = z_brute(a, g, budget=budget)
-        oracle = potts_partition(g, n, v, budget=budget)
-        return _agreement(RAT.to_json(z), RAT.to_json(oracle), z == oracle), 0
-
-    if name == "ising":
-        v = _rational(args.v, "--v")
-        z = ising_polynomial(g, budget=budget).eval(v + 1)
-        oracle = potts_partition(g, 2, v, budget=budget)
-        return _agreement(RAT.to_json(z), RAT.to_json(oracle), z == oracle), 0
-
-    if name == "tutte":
-        x = _rational(args.x, "--x")
-        y = _rational(args.y, "--y")
-        z = _tutte_from_z(g, x, y, budget)
-        oracle = tutte_eval_brute(g, x, y, budget=budget)
-        return _agreement(RAT.to_json(z), RAT.to_json(oracle), z == oracle), 0
-
-    raise BadParameter(f"unknown invariant {name!r}")
+    names, model, count = INVARIANTS[args.name]
+    params = {name: _param(args, name) for name in names}
+    z = model(g, budget=args.budget, **params)
+    oracle = count(g, budget=args.budget, **params)
+    if isinstance(z, tuple):
+        # ordered max cuts: (degree, leading coefficient) of Z against
+        # (max cut weight, number of maps attaining it)
+        z_json = {"degree": z[0], "leading": RAT.to_json(z[1])}
+        oracle_json = {"weight": oracle[0], "count": RAT.to_json(oracle[1])}
+    else:
+        z_json, oracle_json = RAT.to_json(z), RAT.to_json(oracle)
+    return {"z": z_json, "oracle": oracle_json, "agree": z == oracle}, 0
 
 
 def _cmd_connection(args):
@@ -280,7 +180,7 @@ def run(argv=None) -> int:
         payload, status = _COMMANDS[args.verb](args)
     except PartfunError as exc:
         _emit_error(type(exc).__name__, str(exc))
-        return 2 if type(exc).__name__ in _INPUT_ERRORS else 1
+        return exc.exit_code
     except Exception as exc:
         # a fault of the program, not of the input: one JSON line, no traceback
         _emit_error("InternalError", f"{type(exc).__name__}: {exc}")

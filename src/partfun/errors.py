@@ -1,35 +1,47 @@
 """Exception types shared across the package.
 
 Every domain error raised by the library is a subclass of PartfunError, so
-callers (and the CLI) can distinguish bad input from genuine bugs.
+callers (and the CLI) can distinguish bad input from genuine bugs.  Each
+class carries the exit status the CLI returns for it: 2 for every
+InputError (the input is malformed or outside a documented range), 1 for
+any other PartfunError (a computation on valid input could not finish or
+check out, e.g. the budget ran out).
 """
 
 
 class PartfunError(Exception):
-    pass
+    """Base of every domain error; the CLI exits 1 unless a subclass says otherwise."""
+
+    exit_code = 1
 
 
-class BadParameter(PartfunError):
+class InputError(PartfunError):
+    """The input is malformed or outside a documented range."""
+
+    exit_code = 2
+
+
+class BadParameter(InputError):
     """A numeric or structural argument is outside its documented range."""
 
 
-class DuplicateNode(PartfunError):
+class DuplicateNode(InputError):
     """Interpolation nodes must be pairwise distinct."""
 
 
-class BadPartition(PartfunError):
+class BadPartition(InputError):
     """Blocks do not form a partition of the vertex set."""
 
 
-class LabelMismatch(PartfunError):
+class LabelMismatch(InputError):
     """Two labeled graphs with different label arities cannot be glued."""
 
 
-class DimensionMismatch(PartfunError):
+class DimensionMismatch(InputError):
     """Matrix dimension does not match spins, weights or companion objects."""
 
 
-class PinningConflict(PartfunError):
+class PinningConflict(InputError):
     """A configuration does not extend the given pinning."""
 
 
@@ -37,23 +49,23 @@ class BudgetExceeded(PartfunError):
     """Brute-force enumeration would exceed the configured budget."""
 
 
-class AsymmetricTensor(PartfunError):
+class AsymmetricTensor(InputError):
     """Hypergraph weight tensors must be symmetric under index permutation."""
 
 
-class ArityMismatch(PartfunError):
+class ArityMismatch(InputError):
     """Tensor arity differs from the hypergraph's uniformity."""
 
 
-class NotSymmetric(PartfunError):
+class NotSymmetric(InputError):
     """The operation is only defined for symmetric matrices."""
 
 
-class NegativeEntries(PartfunError):
+class NegativeEntries(InputError):
     """A non-negative matrix was required."""
 
 
-class ParallelEdges(PartfunError):
+class ParallelEdges(InputError):
     """The structural 0-1 classifier accepts loops but not parallel edges."""
 
 
@@ -65,23 +77,23 @@ class FactorizationFailure(PartfunError):
     """Internal consistency error: a rank-1 block failed to factor exactly."""
 
 
-class TooLarge(PartfunError):
+class TooLarge(InputError):
     """Enumeration guard (Bell numbers, labeled-graph bases) was exceeded."""
 
 
-class RingUnsupported(PartfunError):
+class RingUnsupported(InputError):
     """The operation does not support this coefficient ring."""
 
 
-class NotSimple(PartfunError):
+class NotSimple(InputError):
     """Flows are only defined on simple graphs."""
 
 
-class UnsupportedModulus(PartfunError):
+class UnsupportedModulus(InputError):
     """Prime transforms accept integer primes, or X for polynomial matrices."""
 
 
-class NotPowerMatrix(PartfunError):
+class NotPowerMatrix(InputError):
     """Renaming requires every nonzero entry to be a power of X."""
 
 
@@ -93,5 +105,5 @@ class DegeneratePoint(PartfunError):
     """No usable evaluation point was found (should be unreachable)."""
 
 
-class FormatError(PartfunError):
+class FormatError(InputError):
     """A graph or matrix file could not be parsed."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BadParameter, BudgetExceeded, NotSimple
-from .evaluator import DiagonalWeights, WeightMatrix, current_budget, z_brute
+from .evaluator import DiagonalWeights, WeightMatrix, _check_budget, current_budget, z_brute
 from .graph import Multigraph, components
 from .rings import INT, POLY, RAT, X, Polynomial
 
@@ -32,6 +32,14 @@ MODEL_NAMES = (
     "potts",
 )
 
+# the models with parameters: (integer size >= 1, rational parameters)
+_MODEL_PARAMS = {
+    "coloring": ("k", ()),
+    "flow": ("k", ()),
+    "general": ("n", ("r", "s")),
+    "potts": ("n", ("v",)),
+}
+
 
 class NamedModel:
     """A model name plus its validated parameters."""
@@ -41,31 +49,19 @@ class NamedModel:
     def __init__(self, name, **params):
         if name not in MODEL_NAMES:
             raise BadParameter(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
+        size, rationals = _MODEL_PARAMS.get(name, (None, ()))
         cleaned = {}
-        if name == "coloring" or name == "flow":
-            k = params.pop("k", None)
-            if not isinstance(k, int) or k < 1:
-                raise BadParameter(f"model {name} needs an integer k >= 1")
-            cleaned["k"] = k
-        elif name == "general":
-            n = params.pop("n", None)
-            if not isinstance(n, int) or n < 1:
-                raise BadParameter("model general needs an integer n >= 1")
-            cleaned["n"] = n
-            try:
-                cleaned["r"] = Fraction(params.pop("r"))
-                cleaned["s"] = Fraction(params.pop("s"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadParameter("model general needs rational r and s") from exc
-        elif name == "potts":
-            n = params.pop("n", None)
-            if not isinstance(n, int) or n < 1:
-                raise BadParameter("model potts needs an integer n >= 1")
-            cleaned["n"] = n
-            try:
-                cleaned["v"] = Fraction(params.pop("v"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadParameter("model potts needs a rational v") from exc
+        if size is not None:
+            value = params.pop(size, None)
+            if not isinstance(value, int) or value < 1:
+                raise BadParameter(f"model {name} needs an integer {size} >= 1")
+            cleaned[size] = value
+        try:
+            for key in rationals:
+                cleaned[key] = Fraction(params.pop(key))
+        except (KeyError, TypeError, ValueError) as exc:
+            what = "a rational v" if rationals == ("v",) else "rational r and s"
+            raise BadParameter(f"model {name} needs {what}") from exc
         if params:
             raise BadParameter(f"model {name} got unexpected parameters {sorted(params)}")
         self.name = name
@@ -123,15 +119,6 @@ def matrix_of(model: NamedModel):
 
 # ---------------------------------------------------------------------------
 # direct combinatorial oracles (never via the partition function)
-
-INVARIANT_KINDS = (
-    "independent-sets",
-    "proper-colorings",
-    "even-induced-subgraphs",
-    "nowhere-zero-flows",
-    "ordered-max-cuts",
-)
-
 
 def independent_sets(g: Multigraph) -> int:
     """Vertex subsets with no edge inside (a loop bars its vertex)."""
@@ -212,25 +199,6 @@ def ordered_max_cuts(g: Multigraph):
         elif w == best:
             count += 1
     return (best, count)
-
-
-def count_invariant(kind: str, g: Multigraph, k: int | None = None):
-    """Dispatch to the oracle named by kind; returns its result record."""
-    if kind == "independent-sets":
-        return independent_sets(g)
-    if kind == "proper-colorings":
-        if k is None:
-            raise BadParameter("proper-colorings needs k")
-        return proper_colorings(g, k)
-    if kind == "even-induced-subgraphs":
-        return even_induced_subgraphs(g)
-    if kind == "nowhere-zero-flows":
-        if k is None:
-            raise BadParameter("nowhere-zero-flows needs k")
-        return nowhere_zero_flows(g, k)
-    if kind == "ordered-max-cuts":
-        return ordered_max_cuts(g)
-    raise BadParameter(f"unknown invariant {kind!r}, expected one of {INVARIANT_KINDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +327,7 @@ def _tutte_from_z(g: Multigraph, x, y, budget: int | None = None) -> Fraction:
     if n.denominator != 1 or n <= 0:
         raise BadParameter(f"(x-1)(y-1) = {n} is not a positive integer")
     n = int(n)
+    _check_budget(n, g.n, budget)
     a = constant_diagonal_matrix(n, y, 1)
     z = z_brute(a, g, budget=budget)
     big_q = len(components(g))
@@ -392,3 +361,61 @@ def ising_polynomial(g: Multigraph, budget: int | None = None) -> Polynomial:
     a, _ = matrix_of(NamedModel("ising"))
     val = z_brute(a, g, budget=budget)
     return val if isinstance(val, Polynomial) else Polynomial((Fraction(val),))
+
+
+# ---------------------------------------------------------------------------
+# the invariant table: name -> (parameters in the order they are validated,
+# the value read off a partition function, the direct count it must equal);
+# both sides are called as f(g, budget=..., **params)
+
+
+def _z(g: Multigraph, budget, name: str, **params):
+    """Z of a named model on g.  The budget is checked before the matrix is
+    built; its size is the model's size parameter, else 2."""
+    model = NamedModel(name, **params)
+    size, _ = _MODEL_PARAMS.get(name, (None, ()))
+    _check_budget(params.get(size, 2), g.n, budget)
+    a, _ = matrix_of(model)
+    return z_brute(a, g, budget=budget)
+
+
+def _max_cut_z(g: Multigraph, budget):
+    """Degree and leading coefficient of the max-cut polynomial."""
+    zp = _z(g, budget, "max-cut")
+    return zp.degree, zp.leading()
+
+
+INVARIANTS = {
+    "independent-sets": (
+        (), lambda g, budget: _z(g, budget, "indep-set"),
+        lambda g, budget: independent_sets(g)),
+    "proper-colorings": (
+        ("k",), lambda g, budget, k: _z(g, budget, "coloring", k=k),
+        lambda g, budget, k: proper_colorings(g, k)),
+    "even-induced-subgraphs": (
+        (), lambda g, budget: Fraction(_z(g, budget, "even-subgraph"), 2) + Fraction(2) ** (g.n - 1),
+        lambda g, budget: even_induced_subgraphs(g)),
+    "nowhere-zero-flows": (
+        ("k",), lambda g, budget, k: _z(g, budget, "flow", k=k) * Fraction(1, k) ** g.n,
+        lambda g, budget, k: nowhere_zero_flows(g, k)),
+    "ordered-max-cuts": ((), _max_cut_z, lambda g, budget: ordered_max_cuts(g)),
+    "potts": (
+        ("n", "v"), lambda g, budget, n, v: _z(g, budget, "potts", n=n, v=v), potts_partition),
+    "ising": (
+        ("v",), lambda g, budget, v: ising_polynomial(g, budget).eval(v + 1),
+        lambda g, budget, v: potts_partition(g, 2, v, budget)),
+    "tutte": (("x", "y"), _tutte_from_z, tutte_eval_brute),
+}
+
+# the graph counts: invariants with no parameter but an integer k
+INVARIANT_KINDS = tuple(name for name, (params, _, _) in INVARIANTS.items() if set(params) <= {"k"})
+
+
+def count_invariant(kind: str, g: Multigraph, k: int | None = None):
+    """Dispatch to the oracle named by kind; returns its result record."""
+    if kind not in INVARIANT_KINDS:
+        raise BadParameter(f"unknown invariant {kind!r}, expected one of {INVARIANT_KINDS}")
+    params, _, oracle = INVARIANTS[kind]
+    if params and k is None:
+        raise BadParameter(f"{kind} needs k")
+    return oracle(g, budget=None, **dict.fromkeys(params, k))

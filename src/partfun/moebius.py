@@ -43,49 +43,9 @@ def enumerate_partitions(k: int):
     return out
 
 
-# mu of a one-block partition depends only on the block size; solved bottom-up
-# from the defining equation, summing over partition shapes rather than
-# partitions (the number of partitions of [s] with m_i blocks of size i is
-# s! / prod(i!^m_i * m_i!)).
-_MU_ONE_BLOCK = {1: 1}
-
-
-def _shapes(s, largest=None):
-    """Integer partitions of s as non-increasing tuples."""
-    if largest is None:
-        largest = s
-    if s == 0:
-        yield ()
-        return
-    for first in range(min(s, largest), 0, -1):
-        for rest in _shapes(s - first, first):
-            yield (first,) + rest
-
-
-def _shape_count(s, shape):
-    mult = {}
-    for part in shape:
-        mult[part] = mult.get(part, 0) + 1
-    count = factorial(s)
-    for part, m in mult.items():
-        count //= factorial(part) ** m * factorial(m)
-    return count
-
-
 def _mu_one_block(s: int) -> int:
-    for t in range(2, s + 1):
-        if t in _MU_ONE_BLOCK:
-            continue
-        total = 0
-        for shape in _shapes(t):
-            if shape == (t,):
-                continue
-            term = _shape_count(t, shape)
-            for part in shape:
-                term *= _MU_ONE_BLOCK[part]
-            total += term
-        _MU_ONE_BLOCK[t] = -total
-    return _MU_ONE_BLOCK[s]
+    """mu of a one-block partition of an s-element set, (-1)^(s-1) (s-1)!."""
+    return (-1) ** (s - 1) * factorial(s - 1)
 
 
 class MobiusTable:

@@ -22,7 +22,6 @@ from .connection import (
 )
 from .errors import BadParameter
 from .evaluator import (
-    DiagonalWeights,
     count_configs,
     perfect_matching_model,
     z_brute,
@@ -30,7 +29,8 @@ from .evaluator import (
 )
 from .graph import Multigraph, Pinning, stretch, thicken
 from .models import (
-    constant_diagonal_matrix,
+    NamedModel,
+    matrix_of,
     nowhere_zero_flows,
     tutte_contraction_deletion,
     tutte_eval_brute,
@@ -44,7 +44,6 @@ from .moebius import (
     zeta_check,
 )
 from .reductions import matrix_stretch, matrix_thicken, recover_counts, twin_resolvent
-from .rings import RAT
 
 SUITE_NAMES = ("moebius", "tutte", "flows", "reductions", "connection")
 
@@ -215,8 +214,7 @@ def suite_flows(max_vertices: int = 4):
 
     def three_way():
         for k in (2, 3):
-            a = constant_diagonal_matrix(k, k - 1, -1)
-            d = DiagonalWeights(RAT, [Fraction(1, k)] * k)
+            a, d = matrix_of(NamedModel("flow", k=k))
             for g in graphs:
                 direct = nowhere_zero_flows(g, k)
                 scaled = Fraction(1, k) ** g.n * z_brute(a, g)
